@@ -6,24 +6,17 @@ Needs matplotlib, which is not a package dependency; install it separately.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-def load_series(path: Path):
-    t, clusters, active = [], [], []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            t.append(int(row["t"]))
-            clusters.append(int(row["cluster_count"]))
-            active.append(int(row["active_count"]))
-    return t, clusters, active
+from chemlattice.harness import load_series
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description="Plot a recorded run")
-    ap.add_argument("series", type=Path, help="path to series.csv (or its run dir)")
+    ap.add_argument("series", type=Path, help="run dir (or its series.csv)")
     ap.add_argument("--out", type=Path, default=None, help="save PNG instead of showing")
     ap.add_argument("--t-min", type=int, default=None)
     ap.add_argument("--t-max", type=int, default=None)
@@ -38,17 +31,15 @@ def main() -> int:
         print("matplotlib is required for plotting: pip install matplotlib", file=sys.stderr)
         return 1
 
-    path = args.series
-    if path.is_dir():
-        path = path / "series.csv"
-    t, clusters, active = load_series(path)
+    run_dir = args.series if args.series.is_dir() else args.series.parent
+    series = load_series(run_dir)
 
-    lo = args.t_min if args.t_min is not None else t[0]
-    hi = args.t_max if args.t_max is not None else t[-1]
-    keep = [i for i, ti in enumerate(t) if lo <= ti <= hi]
-    t = [t[i] for i in keep]
-    clusters = [clusters[i] for i in keep]
-    active = [active[i] for i in keep]
+    lo = args.t_min if args.t_min is not None else series.t[0]
+    hi = args.t_max if args.t_max is not None else series.t[-1]
+    keep = (series.t >= lo) & (series.t <= hi)
+    t = series.t[keep]
+    clusters = series.cluster_count[keep]
+    active = series.active_count[keep]
 
     fig, (ax0, ax1) = plt.subplots(2, 1, sharex=True, figsize=(10, 6))
     ax0.plot(t, clusters, lw=0.7, color="tab:blue")
@@ -56,7 +47,7 @@ def main() -> int:
     ax1.plot(t, active, lw=0.7, color="tab:red")
     ax1.set_ylabel("active molecules")
     ax1.set_xlabel("step")
-    fig.suptitle(str(path.parent.name))
+    fig.suptitle(run_dir.name)
     fig.tight_layout()
 
     if args.out is not None:

@@ -163,9 +163,10 @@ def _trailing_extreme(x: np.ndarray, window: int, pad_value: float, fn) -> np.nd
     return fn(np.lib.stride_tricks.sliding_window_view(padded, window), axis=1)
 
 
-def _scan_trace(x: np.ndarray, rise_window: int, fall_window: int,
+def _scan_trace(x: np.ndarray, t: np.ndarray, rise_window: int, fall_window: int,
                 min_amplitude: float) -> list:
-    """Excursion scanner over a raw trace; times are sample indices."""
+    """Excursion scanner over a raw trace; windows count samples, and
+    event times are read off the time axis ``t``."""
     n = x.size
     events = []
     if n < 2:
@@ -217,9 +218,9 @@ def _scan_trace(x: np.ndarray, rise_window: int, fall_window: int,
         events.append(
             WaveEvent(
                 kind=kind,
-                t_start=t_start,
-                t_peak=t_peak,
-                t_end=t_end,
+                t_start=int(t[t_start]),
+                t_peak=int(t[t_peak]),
+                t_end=int(t[t_end]),
                 amplitude=float(amplitude),
             )
         )
@@ -241,23 +242,13 @@ def detect_events(series: RunSeries, rise_window: int, fall_window: int,
         raise ValueError("rise_window and fall_window must be >= 1")
     if min_amplitude < 1:
         raise ValueError(f"min_amplitude must be >= 1, got {min_amplitude}")
-    raw = _scan_trace(
+    return _scan_trace(
         np.asarray(series.active_count, dtype=np.float64),
+        np.asarray(series.t),
         rise_window,
         fall_window,
         float(min_amplitude),
     )
-    t = np.asarray(series.t)
-    return [
-        WaveEvent(
-            kind=e.kind,
-            t_start=int(t[e.t_start]),
-            t_peak=int(t[e.t_peak]),
-            t_end=int(t[e.t_end]),
-            amplitude=e.amplitude,
-        )
-        for e in raw
-    ]
 
 
 def summarize(series: RunSeries, events: list, spectrum: Optional[Spectrum],

@@ -42,6 +42,7 @@ __all__ = [
     "run_simulation",
     "run_scenario",
     "run_sweep",
+    "load_series",
     "detect_lock_in",
     "main",
     "cli",
@@ -275,7 +276,7 @@ _SWEEP_VALUES = (0.0, 1e-6, 5e-4, 5e-3, 7.5e-3, 5e-2)
 
 def _builtin_table() -> dict:
     const = lambda p: NoiseSchedule(kind="constant", p0=p)
-    return {
+    table = {
         "fig9a": ScenarioConfig(
             name="fig9a",
             kind="single",
@@ -293,12 +294,6 @@ def _builtin_table() -> dict:
             sim=SimParams(
                 noise_schedule=const(0.05), max_steps=100_000, seed=11, **_SPIKE_REGIME
             ),
-        ),
-        "fig10": ScenarioConfig(
-            name="fig10",
-            kind="single",
-            sim=SimParams(noise_schedule=const(0.05), max_steps=66_536, seed=11),
-            analysis=AnalysisOptions(burn_in=1000),
         ),
         "fig11": ScenarioConfig(
             name="fig11",
@@ -320,6 +315,8 @@ def _builtin_table() -> dict:
             name="fig4-lattice", kind="lattice", relation_source="blocks:3,3,2:overlap=3"
         ),
     }
+    table["fig10"] = replace(table["fig9b"], name="fig10")
+    return table
 
 
 BUILTIN_NAMES = tuple(sorted(_builtin_table()))
@@ -419,9 +416,10 @@ def _json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _analyze_run(series: analysis.RunSeries, opts: AnalysisOptions) -> tuple:
-    """Events, optional spectrum, and the summary record for one run."""
-    params = series.params_snapshot
+def _run_artifacts(config: ScenarioConfig, params: SimParams, kind: str) -> tuple:
+    """Simulate and analyze one run; returns (series.csv text, summary)."""
+    series, _ = run_simulation(params, config.record_every)
+    opts = config.analysis
     min_amp = opts.min_amplitude
     if min_amp is None:
         min_amp = 0.8 * params.n_molecules
@@ -443,10 +441,15 @@ def _analyze_run(series: analysis.RunSeries, opts: AnalysisOptions) -> tuple:
     summary = analysis.summarize(series, events, spectrum, (opts.f_lo, opts.f_hi))
     summary["lock_in"] = detect_lock_in(series)
     summary["n_recorded"] = len(series.t)
-    return events, spectrum, summary
+    summary["name"] = config.name
+    summary["kind"] = kind
+    summary["record_every"] = config.record_every
+    return _series_csv(series), summary
 
 
-def _write_artifacts(out_dir: str, files: dict) -> dict:
+def _write_artifacts(config: ScenarioConfig, out_dir: str, files: dict) -> dict:
+    """Write the files, then manifest.json with their digests; returns
+    the manifest."""
     os.makedirs(out_dir, exist_ok=True)
     manifest_files = {}
     for rel_path, text in sorted(files.items()):
@@ -459,10 +462,6 @@ def _write_artifacts(out_dir: str, files: dict) -> dict:
             "sha256": hashlib.sha256(payload).hexdigest(),
             "bytes": len(payload),
         }
-    return manifest_files
-
-
-def _finish_manifest(config: ScenarioConfig, out_dir: str, manifest_files: dict) -> dict:
     manifest = {
         "scenario": config.name,
         "kind": config.kind,
@@ -488,18 +487,9 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict:
     out_dir = out_dir or config.output_dir or os.path.join("runs", config.name)
     if config.kind == "lattice":
         return _run_lattice(config, out_dir)
-    params = _effective_params(config)
-    series, _ = run_simulation(params, config.record_every)
-    _, _, summary = _analyze_run(series, config.analysis)
-    summary["name"] = config.name
-    summary["kind"] = config.kind
-    summary["record_every"] = config.record_every
-    files = {
-        "series.csv": _series_csv(series),
-        "summary.json": _json_text(summary),
-    }
-    manifest_files = _write_artifacts(out_dir, files)
-    return _finish_manifest(config, out_dir, manifest_files)
+    csv_text, summary = _run_artifacts(config, _effective_params(config), config.kind)
+    files = {"series.csv": csv_text, "summary.json": _json_text(summary)}
+    return _write_artifacts(config, out_dir, files)
 
 
 def relation_from_source(source: str) -> lattice.Relation:
@@ -566,8 +556,7 @@ def _run_lattice(config: ScenarioConfig, out_dir: str) -> dict:
         "laws.json": _json_text(laws),
         "summary.json": _json_text(summary),
     }
-    manifest_files = _write_artifacts(out_dir, files)
-    return _finish_manifest(config, out_dir, manifest_files)
+    return _write_artifacts(config, out_dir, files)
 
 
 def run_sweep(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict:
@@ -590,13 +579,9 @@ def run_sweep(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict:
                 noise_schedule=NoiseSchedule(kind="constant", p0=p_noise),
                 seed=seed,
             )
-            series, _ = run_simulation(params, config.record_every)
-            _, _, summary = _analyze_run(series, config.analysis)
+            csv_text, summary = _run_artifacts(config, params, "single")
             rel_dir = os.path.join(f"value_{vi}", f"seed_{rep}")
-            summary["name"] = config.name
-            summary["kind"] = "single"
-            summary["record_every"] = config.record_every
-            files[os.path.join(rel_dir, "series.csv")] = _series_csv(series)
+            files[os.path.join(rel_dir, "series.csv")] = csv_text
             files[os.path.join(rel_dir, "summary.json")] = _json_text(summary)
             for kind in counts:
                 counts[kind] += summary["events"][kind]
@@ -625,8 +610,20 @@ def run_sweep(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict:
         "values": grid_rows,
     }
     files["grid.json"] = _json_text(grid)
-    manifest_files = _write_artifacts(out_dir, files)
-    return _finish_manifest(config, out_dir, manifest_files)
+    return _write_artifacts(config, out_dir, files)
+
+
+def load_series(run_dir: str) -> analysis.RunSeries:
+    """The trajectory recorded in a run directory's series.csv.  The
+    file holds no parameters, so params_snapshot is None."""
+    data = np.loadtxt(
+        os.path.join(run_dir, "series.csv"), delimiter=",", skiprows=1, ndmin=2
+    )
+    t, cc, ac = (data[:, i].astype(np.int64) for i in range(3))
+    return analysis.RunSeries(
+        t=t, cluster_count=cc, active_count=ac, params_snapshot=None,
+        noise_trace=data[:, 3],
+    )
 
 
 def _load_artifact(out_dir: str, name: str):
@@ -635,14 +632,8 @@ def _load_artifact(out_dir: str, name: str):
 
 
 def _check_fig9a(out_dir: str, failures: list) -> None:
-    rows = []
-    with open(os.path.join(out_dir, "series.csv"), "r", encoding="utf-8") as fh:
-        next(fh)
-        for line in fh:
-            t, c, a, _ = line.split(",")
-            rows.append((int(c), int(a)))
-    cc = np.array([r[0] for r in rows])
-    ac = np.array([r[1] for r in rows])
+    series = load_series(out_dir)
+    cc, ac = series.cluster_count, series.active_count
     n = cc.max()
     if not np.all((ac == 0) | (ac == n)):
         failures.append("activity left {0, N} in the noise-free run")
@@ -714,17 +705,10 @@ def _check_fig12(out_dir: str, failures: list) -> None:
     summary = _load_artifact(out_dir, "summary.json")
     onset = summary["params"]["noise_schedule"]["onset_step"]
     steps = summary["params"]["max_steps"]
-    with open(os.path.join(out_dir, "series.csv"), "r", encoding="utf-8") as fh:
-        next(fh)
-        data = [line.split(",") for line in fh]
-    tt = np.array([int(r[0]) for r in data])
-    cc = np.array([int(r[1]) for r in data])
-    ac = np.array([int(r[2]) for r in data])
-    series = analysis.RunSeries(
-        t=tt, cluster_count=cc, active_count=ac, params_snapshot=None,
-        noise_trace=np.zeros(len(tt)),
+    series = load_series(out_dir)
+    events = analysis.detect_events(
+        series, 25, 25, 0.8 * int(series.active_count.max())
     )
-    events = analysis.detect_events(series, 25, 25, 0.8 * int(ac.max()))
     pre_onset = [e for e in events if e.t_peak < onset]
     if pre_onset:
         failures.append(f"{len(pre_onset)} events before noise onset")
@@ -811,12 +795,37 @@ def run_checks(name: str, out_dir: str) -> None:
     print(f"check {name}: ok")
 
 
-def _resolve_config(ref: str) -> ScenarioConfig:
+# Scenario kinds each subcommand accepts.
+_COMMAND_KINDS = {
+    "run": ("single", "ramp", "lattice"),
+    "sweep": ("sweep",),
+    "lattice": ("lattice",),
+}
+
+
+def _resolve_config(command: str, ref: str) -> ScenarioConfig:
+    """The scenario a subcommand names: a builtin or a JSON config file,
+    and for the lattice command also a relation file or generator spec."""
     if ref in _builtin_table():
-        return builtin_config(ref)
-    if os.path.exists(ref):
-        return parse_config(ref)
-    raise ConfigError(f"{ref!r} is neither a builtin scenario nor a config file")
+        config = builtin_config(ref)
+    elif os.path.exists(ref) and (command != "lattice" or ref.endswith(".json")):
+        config = parse_config(ref)
+    elif command == "lattice":
+        name = os.path.splitext(os.path.basename(ref))[0] or "lattice"
+        config = ScenarioConfig(
+            name=name.replace(":", "-").replace(",", "-").replace("=", "-"),
+            kind="lattice",
+            relation_source=ref,
+        )
+    else:
+        raise ConfigError(f"{ref!r} is neither a builtin scenario nor a config file")
+    kinds = _COMMAND_KINDS[command]
+    if config.kind not in kinds:
+        raise ConfigError(
+            f"scenario {config.name!r} has kind {config.kind!r}; "
+            f"the {command} command takes {' or '.join(kinds)} scenarios"
+        )
+    return config
 
 
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
@@ -881,7 +890,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_lat = sub.add_parser("lattice", help="analyze a relation's fixed-point lattice")
     p_lat.add_argument(
-        "relation",
+        "scenario",
+        metavar="relation",
         help="builtin (fig5-lattice, fig4-lattice), relation file, or "
         "generator spec like diag:3 or blocks:3,3,2:overlap=3",
     )
@@ -893,36 +903,7 @@ def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "lattice":
-            ref = args.relation
-            if ref in _builtin_table():
-                config = builtin_config(ref)
-            elif os.path.exists(ref) and ref.endswith(".json"):
-                config = parse_config(ref)
-            else:
-                name = os.path.splitext(os.path.basename(ref))[0] or "lattice"
-                config = ScenarioConfig(
-                    name=name.replace(":", "-").replace(",", "-").replace("=", "-"),
-                    kind="lattice",
-                    relation_source=ref,
-                )
-            if config.kind != "lattice":
-                raise ConfigError(
-                    f"scenario {config.name!r} has kind {config.kind!r}, not lattice"
-                )
-            config = _apply_overrides(config, args)
-        else:
-            config = _resolve_config(args.scenario)
-            if args.command == "sweep" and config.kind != "sweep":
-                raise ConfigError(
-                    f"scenario {config.name!r} has kind {config.kind!r}; "
-                    "the sweep command needs a sweep scenario"
-                )
-            if args.command == "run" and config.kind == "sweep":
-                raise ConfigError(
-                    f"scenario {config.name!r} is a sweep; use the sweep command"
-                )
-            config = _apply_overrides(config, args)
+        config = _apply_overrides(_resolve_config(args.command, args.scenario), args)
         manifest = run_scenario(config, args.out)
         out_dir = manifest["output_dir"]
         for rel_path in sorted(manifest["files"]):
@@ -947,7 +928,3 @@ def main(argv: Optional[list] = None) -> int:
 
 def cli() -> None:
     raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    cli()

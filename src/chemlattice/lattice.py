@@ -53,6 +53,7 @@ LAW_MAX_ELEMENTS = 512
 HASSE_MAX_ELEMENTS = 2048
 BLOCK_MAX_ATOMS = 16
 _ORTHO_NODE_CAP = 1_000_000
+MASK_MAX_UNIVERSE = 63  # element masks are held in an int64 array
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,6 +260,11 @@ class Lattice:
 
     def __init__(self, universe: int, masks: Iterable[int]):
         self.universe = int(universe)
+        if self.universe > MASK_MAX_UNIVERSE:
+            raise CapacityError(
+                f"lattice ground sets are capped at {MASK_MAX_UNIVERSE} "
+                f"elements (got {self.universe}); decompose the relation into blocks"
+            )
         uniq = sorted(set(int(m) for m in masks))
         full = (1 << self.universe) - 1
         if not uniq:
@@ -276,6 +282,7 @@ class Lattice:
         self._sub = None
         self._meet_tab = None
         self._join_tab = None
+        self._ortho = None
 
     @classmethod
     def from_subsets(cls, universe: int, subsets: Iterable[Iterable[int]]) -> "Lattice":
@@ -333,7 +340,6 @@ class Lattice:
         idx = np.clip(idx, 0, len(self._masks) - 1)
         bad = self._mask_arr[idx] != masks
         if bad.any():
-            flat = np.flatnonzero(bad.ravel())[0]
             raise ValueError(
                 f"{what} resolves outside the element set; "
                 "the family is not a lattice"
@@ -368,6 +374,19 @@ class Lattice:
             self._meet_tab = meet_tab
             self._join_tab = join_tab
         return self._meet_tab, self._join_tab
+
+    def _orthocomplement(self) -> tuple:
+        """(assign, holds), searched once and cached: an involutive
+        order-reversing complement as an index array (None when none
+        exists) and whether it satisfies the orthomodular law.  The
+        law-pruned search runs first; the plain one only if it fails."""
+        if self._ortho is None:
+            assign = _search_orthocomplement(self, enforce_oml=True)
+            holds = assign is not None
+            if not holds:
+                assign = _search_orthocomplement(self, enforce_oml=False)
+            self._ortho = (assign, holds)
+        return self._ortho
 
     def meet_index(self, i: int, j: int) -> int:
         mt, _ = self._tables()
@@ -548,29 +567,22 @@ def check_orthomodular(lat: Lattice) -> OrthomodularityReport:
     assignment found is the witness.  If no assignment exists at all the
     result carries a note instead of a witness.
     """
-    assign = _search_orthocomplement(lat, enforce_oml=True)
-    if assign is not None:
-        cmap = {
-            lat._elements[i]: lat._elements[int(assign[i])] for i in range(len(lat))
-        }
-        return OrthomodularityReport(True, None, cmap, "")
-    assign = _search_orthocomplement(lat, enforce_oml=False)
+    assign, holds = lat._orthocomplement()
     if assign is None:
         return OrthomodularityReport(
             False, None, None, "no consistent orthocomplementation"
         )
+    n = len(lat)
+    cmap = {lat._elements[i]: lat._elements[int(assign[i])] for i in range(n)}
+    if holds:
+        return OrthomodularityReport(True, None, cmap, "")
     mt, jt = lat._tables()
     sub = lat._subset_matrix()
-    n = len(lat)
     for x in range(n):
         c = int(assign[x])
         for y in np.flatnonzero(sub[x]):
             y = int(y)
             if jt[x, mt[c, y]] != y:
-                cmap = {
-                    lat._elements[i]: lat._elements[int(assign[i])]
-                    for i in range(n)
-                }
                 witness = (lat._elements[x], lat._elements[y])
                 return OrthomodularityReport(False, witness, cmap, "")
     return OrthomodularityReport(
@@ -658,10 +670,6 @@ def _boolean_blocks_raw(lat: Lattice, assign=None) -> list:
     return keep
 
 
-def _ortho_assignment(lat: Lattice):
-    return _search_orthocomplement(lat, enforce_oml=False)
-
-
 def boolean_blocks(lat: Lattice) -> list:
     """Maximal Boolean sublattices generated by lattice atoms.
 
@@ -671,7 +679,7 @@ def boolean_blocks(lat: Lattice) -> list:
     required to agree with it (see _boolean_blocks_raw).
     """
     out = []
-    for atom_idx, cube in _boolean_blocks_raw(lat, _ortho_assignment(lat)):
+    for atom_idx, cube in _boolean_blocks_raw(lat, lat._orthocomplement()[0]):
         atoms = tuple(lat._elements[i] for i in atom_idx)
         out.append((atoms, int(cube.size)))
     return out
@@ -696,13 +704,7 @@ def analyze_laws(lat: Lattice) -> LawReport:
     checks and collect the results."""
     dist = check_distributive(lat)
     ortho = check_orthomodular(lat)
-    assign = None
-    if ortho.complement_map is not None:
-        assign = np.array(
-            [lat.index_of(ortho.complement_map[e]) for e in lat.elements],
-            dtype=np.int64,
-        )
-    raw_blocks = _boolean_blocks_raw(lat, assign)
+    raw_blocks = _boolean_blocks_raw(lat, lat._orthocomplement()[0])
     blocks = [
         (tuple(lat._elements[i] for i in atom_idx), int(cube.size))
         for atom_idx, cube in raw_blocks

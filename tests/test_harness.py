@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from chemlattice.harness import (
     builtin_config,
     config_from_dict,
     detect_lock_in,
+    load_series,
     main,
     parse_config,
     relation_from_source,
@@ -372,3 +375,35 @@ def test_cli_lattice_from_relation_file(tmp_path):
     assert main(["lattice", str(rel), "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_elements"] == 8
+
+
+def test_cli_run_accepts_lattice_scenarios(tmp_path):
+    assert main(["run", "fig5-lattice", "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "summary.json").read_text())["n_elements"] == 30
+
+
+def test_load_series_reads_back_the_recorded_run(tmp_path):
+    config = tiny_single()
+    run_scenario(config, str(tmp_path))
+    series, _ = run_simulation(config.sim)
+    loaded = load_series(str(tmp_path))
+    assert loaded.params_snapshot is None
+    for name in ("t", "cluster_count", "active_count", "noise_trace"):
+        assert np.array_equal(getattr(loaded, name), getattr(series, name))
+    assert loaded.t.dtype == np.int64
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "chemlattice", "lattice", "blocks:2,2",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert (tmp_path / "manifest.json").exists()

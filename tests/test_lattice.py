@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from chemlattice import lattice as lattice_module
 from chemlattice.errors import CapacityError, ConfigError
 from chemlattice.lattice import (
     Lattice,
     analyze_laws,
+    boolean_blocks,
     build_two_block_relation,
     check_distributive,
     check_orthomodular,
@@ -325,6 +327,44 @@ def test_law_table_capacity_cap():
     assert len(lat) == 1024
     with pytest.raises(CapacityError, match="capped at 512"):
         analyze_laws(lat)
+
+
+def test_mask_width_capacity_cap():
+    lat = Lattice.from_subsets(63, [(), range(63)])
+    assert len(lat) == 2 and check_orthomodular(lat).holds
+    with pytest.raises(CapacityError, match="capped at 63"):
+        Lattice(64, [0, (1 << 64) - 1])
+
+
+def _count_searches(monkeypatch) -> list:
+    calls = []
+    search = lattice_module._search_orthocomplement
+
+    def counted(lat, enforce_oml):
+        calls.append(enforce_oml)
+        return search(lat, enforce_oml)
+
+    monkeypatch.setattr(lattice_module, "_search_orthocomplement", counted)
+    return calls
+
+
+def test_orthocomplement_search_runs_once_per_lattice(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    lat = enumerate_lattice(build_two_block_relation([4, 4]))
+    assert check_orthomodular(lat).holds
+    report = analyze_laws(lat)
+    blocks = boolean_blocks(lat)
+    assert calls == [True]
+    assert blocks == report.boolean_blocks
+
+
+def test_plain_search_runs_only_after_the_pruned_one_fails(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    o6 = Lattice.from_subsets(3, [(), (0,), (0, 1), (2,), (1, 2), (0, 1, 2)])
+    assert not check_orthomodular(o6).holds
+    report = analyze_laws(o6)
+    assert boolean_blocks(o6) == report.boolean_blocks
+    assert calls == [True, False]
 
 
 # ------------------------------------------------------------- exports
