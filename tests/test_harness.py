@@ -1,5 +1,6 @@
 """Scenario runner, config parsing, artifact, and CLI tests."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -86,6 +87,99 @@ def test_kind_specific_field_rules():
         )
     with pytest.raises(ConfigError, match="relation_source is not valid"):
         config_from_dict({"kind": "single", "relation_source": "diag:3"})
+
+
+_RAMP_JSON = {"kind": "ramp", "p0": 0.01, "rate": 2e-5, "onset_step": 300}
+_SIM_JSON = {
+    "n_molecules": 60,
+    "theta_c": 0.4,
+    "theta_dec": 0.6,
+    "noise_schedule": _RAMP_JSON,
+    "theta_a": 0.2,
+    "p_coh": 0.9,
+    "interplay_enabled": True,
+    "pooled_modal_ratio": True,
+    "max_steps": 900,
+    "seed": 5,
+}
+_ANALYSIS_JSON = {
+    "burn_in": 10,
+    "f_lo": 0.002,
+    "f_hi": 0.2,
+    "rise_window": 20,
+    "fall_window": 30,
+    "min_amplitude": 40.0,
+    "psd_trace": "cluster",
+}
+
+
+def test_every_config_field_parses_to_the_dataclass_value():
+    ramp = NoiseSchedule(kind="ramp", p0=0.01, rate=2e-5, onset_step=300)
+    sim = SimParams(
+        n_molecules=60, theta_c=0.4, theta_dec=0.6, noise_schedule=ramp,
+        theta_a=0.2, p_coh=0.9, interplay_enabled=True, pooled_modal_ratio=True,
+        max_steps=900, seed=5,
+    )
+    opts = AnalysisOptions(
+        burn_in=10, f_lo=0.002, f_hi=0.2, rise_window=20, fall_window=30,
+        min_amplitude=40.0, psd_trace="cluster",
+    )
+    cases = [
+        (
+            {"name": "r", "kind": "ramp", "sim": _SIM_JSON, "ramp": _RAMP_JSON,
+             "output_dir": "out/r", "record_every": 3, "analysis": _ANALYSIS_JSON},
+            ScenarioConfig(name="r", kind="ramp", sim=sim, ramp=ramp,
+                           output_dir="out/r", record_every=3, analysis=opts),
+        ),
+        (
+            {"name": "s", "kind": "sweep", "sim": _SIM_JSON,
+             "sweep_values": [0, 0.5], "seeds_per_value": 4},
+            ScenarioConfig(name="s", kind="sweep", sim=sim,
+                           sweep_values=(0.0, 0.5), seeds_per_value=4),
+        ),
+        (
+            {"name": "l", "kind": "lattice", "relation_source": "diag:2"},
+            ScenarioConfig(name="l", kind="lattice", relation_source="diag:2"),
+        ),
+    ]
+    covered = set()
+    for obj, want in cases:
+        assert config_from_dict(obj) == want
+        covered |= set(obj)
+    assert covered == {f.name for f in dataclasses.fields(ScenarioConfig)}
+    assert set(_SIM_JSON) == {f.name for f in dataclasses.fields(SimParams)}
+    assert set(_ANALYSIS_JSON) == {f.name for f in dataclasses.fields(AnalysisOptions)}
+    for p in (sim, SimParams()):
+        assert config_from_dict({"kind": "single", "sim": p.to_dict()}).sim == p
+
+
+@pytest.mark.parametrize(
+    "obj, path",
+    [
+        ({"kind": "sweep", "sweep_values": [0.1, "x"]}, r"sweep_values\[1\]"),
+        ({"kind": "ramp", "ramp": {**_RAMP_JSON, "onset_step": 3.0}},
+         r"ramp\.onset_step"),
+        ([{"kind": "single"}], "config root"),
+        ({"kind": "single", "sim": [1]}, r"^sim must be"),
+        ({"name": "x"}, "config requires a kind"),
+    ],
+)
+def test_config_rejections_name_their_path(obj, path):
+    with pytest.raises(ConfigError, match=path):
+        config_from_dict(obj)
+
+
+def test_readme_config_example_names_every_field():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Config files", 1)[1]
+    example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    config = config_from_dict(example)
+    assert config.kind == example["kind"]
+    assert set(example["sim"]) == {f.name for f in dataclasses.fields(SimParams)}
+    assert set(example["analysis"]) == {
+        f.name for f in dataclasses.fields(AnalysisOptions)
+    }
 
 
 def test_parse_config_file(tmp_path):
