@@ -16,8 +16,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import MISSING, dataclass, field, replace
+from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .errors import CheckFailure, ConfigError
 from .sim_core import (
     NoiseSchedule,
     SimParams,
-    SimState,
     audit_consistency,
     init_state,
     noise_at,
@@ -103,7 +102,7 @@ class ScenarioConfig:
     name: str
     kind: str
     sim: Optional[SimParams] = None
-    sweep_values: Optional[tuple] = None
+    sweep_values: Optional[tuple[float, ...]] = None
     seeds_per_value: int = 1
     ramp: Optional[NoiseSchedule] = None
     relation_source: Optional[str] = None
@@ -149,107 +148,56 @@ class ScenarioConfig:
             raise ConfigError(f"ramp is not valid for kind {self.kind!r}")
 
 
-def _require_keys(obj: dict, allowed: dict, where: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            path = f"{where}.{key}" if where else key
+def _from_json(cls, obj, where: str):
+    """Build dataclass ``cls`` from a JSON object.  The accepted keys are
+    the dataclass fields; a float field takes any number, Optional[X] and
+    Literal fields are checked as X and str, and a nested dataclass is
+    parsed recursively.  Errors carry the dotted path."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'config root'} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, value in obj.items():
+        path = f"{where}.{key}" if where else key
+        if key not in {f.name for f in fields}:
             raise ConfigError(f"unknown key: {path}")
-        want = allowed[key]
-        if want is not None and not isinstance(obj[key], want):
-            path = f"{where}.{key}" if where else key
-            raise ConfigError(
-                f"{path} must be {want.__name__ if isinstance(want, type) else want}, "
-                f"got {type(obj[key]).__name__}"
-            )
-
-
-def _schedule_from_dict(obj: dict, where: str) -> NoiseSchedule:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    _require_keys(
-        obj,
-        {"kind": str, "p0": (int, float), "rate": (int, float), "onset_step": int},
-        where,
-    )
-    return NoiseSchedule(**obj)
-
-
-def _sim_from_dict(obj: dict, where: str = "sim") -> SimParams:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    allowed = {
-        "n_molecules": int,
-        "theta_c": (int, float),
-        "theta_dec": (int, float),
-        "noise_schedule": dict,
-        "theta_a": (int, float),
-        "p_coh": (int, float),
-        "interplay_enabled": bool,
-        "pooled_modal_ratio": bool,
-        "max_steps": int,
-        "seed": int,
-    }
-    _require_keys(obj, allowed, where)
-    kwargs = dict(obj)
-    if "noise_schedule" in kwargs:
-        kwargs["noise_schedule"] = _schedule_from_dict(
-            kwargs["noise_schedule"], f"{where}.noise_schedule"
-        )
+        kwargs[key] = _json_value(hints[key], value, path)
+    for f in fields:
+        required = f.default is MISSING and f.default_factory is MISSING
+        if required and f.name not in kwargs:
+            raise ConfigError(f"{where or 'config'} requires a {f.name}")
     try:
-        return SimParams(**kwargs)
-    except ValueError as exc:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        if not where:
+            raise
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _analysis_from_dict(obj: dict, where: str = "analysis") -> AnalysisOptions:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    allowed = {
-        "burn_in": int,
-        "f_lo": (int, float),
-        "f_hi": (int, float),
-        "rise_window": int,
-        "fall_window": int,
-        "min_amplitude": (int, float),
-        "psd_trace": str,
-    }
-    _require_keys(obj, allowed, where)
-    return AnalysisOptions(**obj)
+def _json_value(hint, value, path: str):
+    if get_origin(hint) is Union:
+        hint = get_args(hint)[0]
+    if dataclasses.is_dataclass(hint):
+        return _from_json(hint, value, path)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise ConfigError(f"{path} must be a list, got {type(value).__name__}")
+        item = get_args(hint)[0]
+        return tuple(_json_value(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if get_origin(hint) is Literal:
+        hint = str
+    if not isinstance(value, (int, float) if hint is float else hint):
+        want = "a number" if hint is float else hint.__name__
+        raise ConfigError(f"{path} must be {want}, got {type(value).__name__}")
+    return value
 
 
 def config_from_dict(obj: dict, default_name: str = "custom") -> ScenarioConfig:
     """Strict ScenarioConfig construction from plain JSON data."""
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
-    allowed = {
-        "name": str,
-        "kind": str,
-        "sim": dict,
-        "sweep_values": list,
-        "seeds_per_value": int,
-        "ramp": dict,
-        "relation_source": str,
-        "output_dir": str,
-        "record_every": int,
-        "analysis": dict,
-    }
-    _require_keys(obj, allowed, "")
-    if "kind" not in obj:
-        raise ConfigError("config requires a kind")
-    kwargs = dict(obj)
-    kwargs.setdefault("name", default_name)
-    if "sim" in kwargs:
-        kwargs["sim"] = _sim_from_dict(kwargs["sim"])
-    if "ramp" in kwargs:
-        kwargs["ramp"] = _schedule_from_dict(kwargs["ramp"], "ramp")
-    if "analysis" in kwargs:
-        kwargs["analysis"] = _analysis_from_dict(kwargs["analysis"])
-    if "sweep_values" in kwargs:
-        for i, v in enumerate(kwargs["sweep_values"]):
-            if not isinstance(v, (int, float)):
-                raise ConfigError(f"sweep_values[{i}] must be a number")
-        kwargs["sweep_values"] = tuple(kwargs["sweep_values"])
-    return ScenarioConfig(**kwargs)
+    if isinstance(obj, dict):
+        obj = {"name": default_name, **obj}
+    return _from_json(ScenarioConfig, obj, "")
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -834,20 +782,15 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
         updates["output_dir"] = args.out
     if getattr(args, "record_every", None) is not None:
         updates["record_every"] = args.record_every
-    sim_updates = {}
+    sim = {}
     if getattr(args, "seed", None) is not None:
-        sim_updates["seed"] = args.seed
+        sim["seed"] = args.seed
     if getattr(args, "steps", None) is not None:
-        sim_updates["steps"] = args.steps
-    if sim_updates and config.sim is None:
+        sim["max_steps"] = args.steps
+    if sim and config.sim is None:
         raise ConfigError("--seed/--steps do not apply to lattice scenarios")
-    if sim_updates:
-        sim = config.sim
-        if "seed" in sim_updates:
-            sim = replace(sim, seed=sim_updates["seed"])
-        if "steps" in sim_updates:
-            sim = replace(sim, max_steps=sim_updates["steps"])
-        updates["sim"] = sim
+    if sim:
+        updates["sim"] = replace(config.sim, **sim)
     return replace(config, **updates) if updates else config
 
 

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sim_core import recount_active_counts
+from . import sim_core
 
 if TYPE_CHECKING:
     from .sim_core import SimParams, SimState
@@ -95,7 +95,7 @@ def coherence_kick(state: "SimState", r_a: float, p_coh: float, theta_a: float) 
     changed = int(np.count_nonzero(state.m1[selected] != target))
     if changed:
         state.m1[selected] = target
-        recount_active_counts(state)
+        sim_core.recount_active_counts(state)
     return changed
 
 

@@ -18,7 +18,7 @@ decomposition rather than silently degrading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -388,14 +388,6 @@ class Lattice:
             self._ortho = (assign, holds)
         return self._ortho
 
-    def meet_index(self, i: int, j: int) -> int:
-        mt, _ = self._tables()
-        return int(mt[i, j])
-
-    def join_index(self, i: int, j: int) -> int:
-        _, jt = self._tables()
-        return int(jt[i, j])
-
 
 def meet_join(lat: Lattice, x: Iterable[int], y: Iterable[int]) -> tuple:
     """Greatest element inside x∩y and least element containing x∪y.
@@ -576,6 +568,8 @@ def check_orthomodular(lat: Lattice) -> OrthomodularityReport:
     cmap = {lat._elements[i]: lat._elements[int(assign[i])] for i in range(n)}
     if holds:
         return OrthomodularityReport(True, None, cmap, "")
+    # The law-pruned search failed, so this assignment breaks the law at
+    # some pair and the scan always returns.
     mt, jt = lat._tables()
     sub = lat._subset_matrix()
     for x in range(n):
@@ -585,9 +579,6 @@ def check_orthomodular(lat: Lattice) -> OrthomodularityReport:
             if jt[x, mt[c, y]] != y:
                 witness = (lat._elements[x], lat._elements[y])
                 return OrthomodularityReport(False, witness, cmap, "")
-    return OrthomodularityReport(
-        False, None, None, "no consistent orthocomplementation"
-    )
 
 
 def _atom_indices(lat: Lattice) -> list:

@@ -14,11 +14,12 @@ share between threads; parameter sweeps use independent states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Literal, Optional
 
 import numpy as np
 
+from . import interplay
 from .errors import ConfigError
 
 __all__ = [
@@ -117,18 +118,9 @@ class SimParams:
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
     def to_dict(self) -> dict:
-        return {
-            "n_molecules": self.n_molecules,
-            "theta_c": self.theta_c,
-            "theta_dec": self.theta_dec,
-            "noise_schedule": self.noise_schedule.to_dict(),
-            "theta_a": self.theta_a,
-            "p_coh": self.p_coh,
-            "interplay_enabled": self.interplay_enabled,
-            "max_steps": self.max_steps,
-            "seed": self.seed,
-            "pooled_modal_ratio": self.pooled_modal_ratio,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["noise_schedule"] = self.noise_schedule.to_dict()
+        return d
 
 
 @dataclass
@@ -340,9 +332,7 @@ def step(state: SimState, params: SimParams) -> StepReport:
     noise_flips = apply_noise(state, noise_at(params.noise_schedule, state.t))
     coherence_flips = 0
     if params.interplay_enabled:
-        from .interplay import run_interplay
-
-        outcome = run_interplay(state, params)
+        outcome = interplay.run_interplay(state, params)
         coherence_flips = outcome.flips
         b2 = apply_boundary_rules(state)
         if boundary == "none":
