@@ -150,9 +150,10 @@ class ScenarioConfig:
 
 def _from_json(cls, obj, where: str):
     """Build dataclass ``cls`` from a JSON object.  The accepted keys are
-    the dataclass fields; a float field takes any number, Optional[X] and
-    Literal fields are checked as X and str, and a nested dataclass is
-    parsed recursively.  Errors carry the dotted path."""
+    the dataclass fields; a float field takes any number, an int or float
+    field rejects true/false, Optional[X] and Literal fields are checked
+    as X and str, and a nested dataclass is parsed recursively.  Errors
+    carry the dotted path."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where or 'config root'} must be a JSON object")
     fields = dataclasses.fields(cls)
@@ -187,7 +188,9 @@ def _json_value(hint, value, path: str):
         return tuple(_json_value(item, v, f"{path}[{i}]") for i, v in enumerate(value))
     if get_origin(hint) is Literal:
         hint = str
-    if not isinstance(value, (int, float) if hint is float else hint):
+    # bool subclasses int, so JSON true/false would pass an int or float check.
+    wrong_bool = isinstance(value, bool) and hint is not bool
+    if wrong_bool or not isinstance(value, (int, float) if hint is float else hint):
         want = "a number" if hint is float else hint.__name__
         raise ConfigError(f"{path} must be {want}, got {type(value).__name__}")
     return value

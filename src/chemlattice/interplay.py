@@ -1,13 +1,13 @@
 """Coherence kick driven by the modal cluster.
 
-Once per step (when enabled) the most frequent cluster *size* is found,
-ties going to the smallest size, and the lowest-index cluster of that
-size acts as representative.  If the representative's active fraction
-sits inside the mixed band [theta_a, 1 - theta_a], every molecule is
-independently pushed (with probability p_coh) toward the minority state:
-active when the fraction is below one half, inactive otherwise.  Pure
-representatives (fraction 0 or 1) never trigger a kick, so without noise
-the kick is inert.
+Once per step (when enabled) the most frequent cluster *size* is read
+from the state's size histogram ``hist``, ties going to the smallest
+size, and the lowest-index cluster of that size acts as representative.
+If the representative's active fraction sits inside the mixed band
+[theta_a, 1 - theta_a], every molecule is independently pushed (with
+probability p_coh) toward the minority state: active when the fraction
+is below one half, inactive otherwise.  Pure representatives (fraction
+0 or 1) never trigger a kick, so without noise the kick is inert.
 """
 
 from __future__ import annotations
@@ -52,11 +52,9 @@ def modal_cluster(state: "SimState") -> tuple:
     Frequency ties resolve to the smallest size, so a fully fragmented
     population reports (1, 0).
     """
-    sizes = np.asarray(state.c0)
-    counts = np.bincount(sizes)
-    mode_size = int(np.flatnonzero(counts == counts.max())[0])
-    representative = int(np.argmax(sizes == mode_size))
-    return mode_size, representative
+    hist = state.hist
+    mode_size = hist.index(max(hist))
+    return mode_size, state.c0.index(mode_size)
 
 
 def active_ratio(state: "SimState", cluster: int) -> float:
@@ -103,15 +101,12 @@ def run_interplay(state: "SimState", params: "SimParams") -> InterplayOutcome:
     """Evaluate the modal cluster and fire the kick when the band allows.
 
     With ``pooled_modal_ratio`` the ratio aggregates active and total
-    counts over *all* clusters of the modal size instead of the single
-    representative.
+    counts over *all* clusters of the modal size (the ``act`` and
+    ``hist`` table entries) instead of the single representative.
     """
     mode_size, representative = modal_cluster(state)
     if params.pooled_modal_ratio:
-        sizes = np.asarray(state.c0)
-        pick = sizes == mode_size
-        actives = np.asarray(state.c1)[pick]
-        r_a = float(actives.sum()) / float(mode_size * int(pick.sum()))
+        r_a = state.act[mode_size] / (mode_size * state.hist[mode_size])
     else:
         r_a = active_ratio(state, representative)
     kicked = params.theta_a <= r_a <= 1.0 - params.theta_a

@@ -14,7 +14,8 @@ share between threads; parameter sweeps use independent states.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from itertools import repeat
 from typing import Literal, Optional
 
 import numpy as np
@@ -133,6 +134,15 @@ class SimState:
     absorbed cluster's members; splits cut the list at the drawn point).
     Cluster indices are dense 0..c_max-1; removing cluster q shifts every
     index above q down by one.
+
+    Two derived tables, indexed by cluster size 0..N, feed the modal
+    cluster lookup: ``hist[s]`` is the number of clusters of size s and
+    ``act[s]`` the active molecules summed over those clusters.  They are
+    built from ``c0``/``c1`` on construction (so ``clone`` rebuilds them)
+    and every mutator in this module keeps them exact.  Code that sets
+    activity flags directly must call ``recount_active_counts``, which
+    rebuilds ``c1`` and ``act``; code that changes cluster sizes must
+    build a new state.
     """
 
     t: int
@@ -142,6 +152,12 @@ class SimState:
     c1: list
     cl: list
     rng: np.random.Generator
+    hist: list = field(init=False)
+    act: list = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.hist = _sum_by_size(self.c0, repeat(1), self.n_molecules)
+        self.act = _sum_by_size(self.c0, self.c1, self.n_molecules)
 
     @property
     def n_molecules(self) -> int:
@@ -197,25 +213,43 @@ def init_state(params: SimParams) -> SimState:
     )
 
 
+def _sum_by_size(sizes, values, n: int) -> list:
+    # table[s] = sum of the values of the clusters of size s, s in 0..n.
+    table = [0] * (n + 1)
+    for size, value in zip(sizes, values):
+        table[size] += value
+    return table
+
+
 def recount_active_counts(state: SimState) -> None:
-    """Rebuild every cluster's active count from the molecule flags."""
+    """Rebuild every cluster's active count from the molecule flags, and
+    the ``act`` table from those counts; sizes, and so ``hist``, stay."""
     counts = np.bincount(
         state.m0[state.m1 != 0], minlength=state.c_max
     )
     state.c1 = counts.tolist()
+    state.act = _sum_by_size(state.c0, state.c1, state.n_molecules)
 
 
 def _merge_clusters(state: SimState, p: int, q: int) -> None:
     # p < q; q's members join p, then q's slot is compacted away.
+    c0, c1, hist, act = state.c0, state.c1, state.hist, state.act
+    size_p, size_q, active_p, active_q = c0[p], c0[q], c1[p], c1[q]
     members_q = state.cl[q]
     state.m0[members_q] = p
     state.cl[p].extend(members_q)
-    state.c0[p] += state.c0[q]
-    state.c1[p] += state.c1[q]
-    del state.c0[q]
-    del state.c1[q]
+    c0[p] = size_p + size_q
+    c1[p] = active_p + active_q
+    del c0[q]
+    del c1[q]
     del state.cl[q]
     state.m0[state.m0 > q] -= 1
+    hist[size_p] -= 1
+    hist[size_q] -= 1
+    hist[size_p + size_q] += 1
+    act[size_p] -= active_p
+    act[size_q] -= active_q
+    act[size_p + size_q] += active_p + active_q
 
 
 def attempt_clustering(state: SimState, theta_c: float):
@@ -245,17 +279,24 @@ def attempt_clustering(state: SimState, theta_c: float):
 
 def _split_cluster(state: SimState, k: int, s: int) -> None:
     # The first s members stay in k; the tail becomes a new last cluster.
+    c0, c1, hist, act = state.c0, state.c1, state.hist, state.act
+    size, active = c0[k], c1[k]
     members = state.cl[k]
-    head = members[:s]
     tail = members[s:]
-    new_index = state.c_max
-    state.cl[k] = head
+    del members[s:]
+    tail_active = int(state.m1[tail].sum())
+    state.m0[tail] = len(c0)
     state.cl.append(tail)
-    state.m0[tail] = new_index
-    state.c0[k] = s
-    state.c0.append(len(tail))
-    state.c1[k] = int(state.m1[head].sum())
-    state.c1.append(int(state.m1[tail].sum()))
+    c0[k] = s
+    c0.append(size - s)
+    c1[k] = active - tail_active
+    c1.append(tail_active)
+    hist[size] -= 1
+    hist[s] += 1
+    hist[size - s] += 1
+    act[size] -= active
+    act[s] += active - tail_active
+    act[size - s] += tail_active
 
 
 def attempt_declustering(state: SimState, theta_dec: float):
@@ -288,13 +329,17 @@ def apply_boundary_rules(state: SimState) -> str:
     between nothing happens.
     """
     n = state.n_molecules
-    if state.c_max == n:
+    cm = state.c_max
+    # Sizes do not change, so hist stays; act has one nonzero entry.
+    if cm == n:
         state.m1[:] = 0
         state.c1 = [0] * n
+        state.act[1] = 0
         return "all_inactivated"
-    if state.c_max == 1:
+    if cm == 1:
         state.m1[:] = 1
         state.c1 = [n]
+        state.act[n] = n
         return "all_activated"
     return "none"
 
@@ -302,17 +347,21 @@ def apply_boundary_rules(state: SimState) -> str:
 def apply_noise(state: SimState, p: float) -> int:
     """Flip each molecule's activity independently with probability p.
 
-    Returns the number of flips; cluster active counts are recomputed
-    from the flags afterwards.  With p <= 0 no random draws are consumed.
+    Returns the number of flips; each flip moves its cluster's active
+    count and the ``act`` table by one.  With p <= 0 no random draws are
+    consumed.
     """
     if p <= 0.0:
         return 0
-    flips = state.rng.random(state.n_molecules) < p
-    n_flips = int(np.count_nonzero(flips))
-    if n_flips:
-        state.m1[flips] ^= 1
-        recount_active_counts(state)
-    return n_flips
+    flipped = (state.rng.random(state.n_molecules) < p).nonzero()[0]
+    if flipped.size:
+        m1, c0, c1, act = state.m1, state.c0, state.c1, state.act
+        m1[flipped] ^= 1
+        for k, bit in zip(state.m0[flipped].tolist(), m1[flipped].tolist()):
+            delta = 1 if bit else -1
+            c1[k] += delta
+            act[c0[k]] += delta
+    return int(flipped.size)
 
 
 def step(state: SimState, params: SimParams) -> StepReport:
@@ -352,9 +401,10 @@ def audit_consistency(state: SimState) -> list:
     """Cross-check the redundant state arrays; returns violation strings.
 
     Verifies cluster sizes against membership lists, active counts
-    against molecule flags, the molecule-to-cluster index map, and that
-    every molecule appears exactly once.  Never mutates the state; an
-    empty list means the invariants hold.
+    against molecule flags, the molecule-to-cluster index map, that
+    every molecule appears exactly once, and the size tables ``hist``/
+    ``act`` against a rebuild from ``c0``/``c1``.  Never mutates the
+    state; an empty list means the invariants hold.
     """
     out = []
     n = state.n_molecules
@@ -401,6 +451,21 @@ def audit_consistency(state: SimState) -> list:
                 f"cluster {k}: member {wrong[0]} has cluster index "
                 f"{int(state.m0[wrong[0]])}"
             )
+    # A size outside 0..n cannot index the tables; the checks above
+    # already report it.
+    if all(0 <= size <= n for size in state.c0):
+        for name, kept, values in (("hist", state.hist, repeat(1)),
+                                   ("act", state.act, state.c1)):
+            fresh = _sum_by_size(state.c0, values, n)
+            if len(kept) != n + 1:
+                out.append(f"size table {name} has {len(kept)} entries, expected {n + 1}")
+                continue
+            wrong = [size for size in range(n + 1) if kept[size] != fresh[size]]
+            for size in wrong[:5]:
+                out.append(
+                    f"size table {name}[{size}] = {kept[size]} != "
+                    f"rebuild from c0/c1 {fresh[size]}"
+                )
     missing = np.flatnonzero(seen == 0)
     for mol in missing[:5]:
         out.append(f"molecule {int(mol)} appears in no membership list")

@@ -162,11 +162,23 @@ def test_every_config_field_parses_to_the_dataclass_value():
         ([{"kind": "single"}], "config root"),
         ({"kind": "single", "sim": [1]}, r"^sim must be"),
         ({"name": "x"}, "config requires a kind"),
+        ({"kind": "single", "record_every": True}, "^record_every must be int, got bool"),
+        ({"kind": "single", "sim": {"seed": True}}, r"^sim\.seed must be int, got bool"),
+        ({"kind": "single", "sim": {"theta_c": False}},
+         r"^sim\.theta_c must be a number, got bool"),
     ],
 )
 def test_config_rejections_name_their_path(obj, path):
     with pytest.raises(ConfigError, match=path):
         config_from_dict(obj)
+
+
+def test_bool_fields_take_json_booleans():
+    for flag in (True, False):
+        sim = config_from_dict(
+            {"kind": "single", "sim": {"interplay_enabled": flag, "pooled_modal_ratio": flag}}
+        ).sim
+        assert sim.interplay_enabled is flag and sim.pooled_modal_ratio is flag
 
 
 def test_readme_config_example_names_every_field():

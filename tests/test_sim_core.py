@@ -327,6 +327,16 @@ def test_audit_names_corrupted_cluster():
     assert any("cluster 1" in v for v in violations)
 
 
+def test_audit_names_stale_size_tables():
+    state = make_state([(3, 1), (2, 0), (2, 2)])
+    assert (state.hist[:4], state.act[:4]) == ([0, 0, 2, 1], [0, 0, 2, 1])
+    state.act[2] += 1
+    assert audit_consistency(state) == ["size table act[2] = 3 != rebuild from c0/c1 2"]
+    state.act[2] -= 1
+    state.hist[3] = 0
+    assert audit_consistency(state) == ["size table hist[3] = 0 != rebuild from c0/c1 1"]
+
+
 def test_audit_clean_after_long_mixed_run():
     params = SimParams(
         n_molecules=200,
