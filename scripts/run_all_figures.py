@@ -26,14 +26,14 @@ def main() -> int:
     ap.add_argument("--check", action="store_true", help="run scenario checks too")
     args = ap.parse_args()
 
-    commands = {"single": "run", "ramp": "run", "sweep": "sweep", "lattice": "lattice"}
     failures = []
     for name in harness.BUILTIN_NAMES:
         if args.skip_sweeps and name in SWEEP_NAMES:
             print(f"[skip] {name}")
             continue
         out_dir = args.out / name
-        argv = [commands[harness.builtin_config(name).kind], name, "--out", str(out_dir)]
+        command = "sweep" if harness.builtin_config(name).kind == "sweep" else "run"
+        argv = [command, name, "--out", str(out_dir)]
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]
         if args.check:

@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, replace
@@ -152,8 +153,8 @@ def _from_json(cls, obj, where: str):
     """Build dataclass ``cls`` from a JSON object.  The accepted keys are
     the dataclass fields; a float field takes any number, an int or float
     field rejects true/false, Optional[X] and Literal fields are checked
-    as X and str, and a nested dataclass is parsed recursively.  Errors
-    carry the dotted path."""
+    as X and str, and a nested dataclass is parsed recursively.  A float
+    field rejects NaN and infinities.  Errors carry the dotted path."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where or 'config root'} must be a JSON object")
     fields = dataclasses.fields(cls)
@@ -193,6 +194,9 @@ def _json_value(hint, value, path: str):
     if wrong_bool or not isinstance(value, (int, float) if hint is float else hint):
         want = "a number" if hint is float else hint.__name__
         raise ConfigError(f"{path} must be {want}, got {type(value).__name__}")
+    # json.load accepts NaN and Infinity, which no float setting can use.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{path} must be a finite number, got {value}")
     return value
 
 

@@ -15,10 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import sim_core
-
 if TYPE_CHECKING:
     from .sim_core import SimParams, SimState
 
@@ -80,8 +76,9 @@ def coherence_kick(state: "SimState", r_a: float, p_coh: float, theta_a: float) 
 
     The caller must have verified that ``r_a`` lies inside the mixed band
     [theta_a, 1 - theta_a]; out-of-band values raise without mutating the
-    state.  Returns the number of activity flags that changed; cluster
-    active counts are recomputed afterwards.
+    state.  The selected molecules not already at the target flip
+    through ``SimState.flip``, which keeps the cluster active counts
+    exact; returns the number of flips.
     """
     if not theta_a <= r_a <= 1.0 - theta_a:
         raise ValueError(
@@ -90,11 +87,7 @@ def coherence_kick(state: "SimState", r_a: float, p_coh: float, theta_a: float) 
         )
     target = target_activity(r_a)
     selected = state.rng.random(state.n_molecules) < p_coh
-    changed = int(np.count_nonzero(state.m1[selected] != target))
-    if changed:
-        state.m1[selected] = target
-        sim_core.recount_active_counts(state)
-    return changed
+    return state.flip((selected & (state.m1 != target)).nonzero()[0])
 
 
 def run_interplay(state: "SimState", params: "SimParams") -> InterplayOutcome:

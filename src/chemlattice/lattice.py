@@ -283,6 +283,7 @@ class Lattice:
         self._meet_tab = None
         self._join_tab = None
         self._ortho = None
+        self._cover = None
 
     @classmethod
     def from_subsets(cls, universe: int, subsets: Iterable[Iterable[int]]) -> "Lattice":
@@ -388,6 +389,13 @@ class Lattice:
             self._ortho = (assign, holds)
         return self._ortho
 
+    def _cover_pairs(self) -> list:
+        """Covering pairs (lower, upper) of element indices in ascending
+        order, scanned once and cached."""
+        if self._cover is None:
+            self._cover = _scan_cover(self)
+        return self._cover
+
 
 def meet_join(lat: Lattice, x: Iterable[int], y: Iterable[int]) -> tuple:
     """Greatest element inside x∩y and least element containing x∪y.
@@ -417,8 +425,7 @@ def meet_join(lat: Lattice, x: Iterable[int], y: Iterable[int]) -> tuple:
     return lat._to_set(or_all), lat._to_set(and_all)
 
 
-def hasse_cover(lat: Lattice) -> list:
-    """Covering pairs (lower, upper) of the inclusion order."""
+def _scan_cover(lat: Lattice) -> list:
     n = len(lat)
     if n > HASSE_MAX_ELEMENTS:
         raise CapacityError(
@@ -426,7 +433,7 @@ def hasse_cover(lat: Lattice) -> list:
         )
     sub = lat._subset_matrix()
     pc = np.array([int(m).bit_count() for m in lat._masks])
-    edges = []
+    pairs = []
     for x in range(n):
         ups = np.flatnonzero(sub[x] & (pc > pc[x]))
         if ups.size == 0:
@@ -434,9 +441,15 @@ def hasse_cover(lat: Lattice) -> list:
         s = sub[np.ix_(ups, ups)]
         np.fill_diagonal(s, False)
         minimal = ~s.any(axis=0)
-        for y in ups[minimal]:
-            edges.append((lat._elements[x], lat._elements[int(y)]))
-    return edges
+        pairs.extend((x, y) for y in ups[minimal].tolist())
+    return pairs
+
+
+def hasse_cover(lat: Lattice) -> list:
+    """Covering pairs (lower, upper) of the inclusion order, ordered by
+    the elements' indices."""
+    elements = lat._elements
+    return [(elements[lo], elements[hi]) for lo, hi in lat._cover_pairs()]
 
 
 def find_complements(lat: Lattice, x: Iterable[int]) -> list:
@@ -728,8 +741,6 @@ def format_subset(subset: Iterable[int]) -> str:
 
 def lattice_to_dot(lat: Lattice) -> str:
     """Graphviz digraph of the Hasse diagram, bottom ranked lowest."""
-    edges = hasse_cover(lat)
-    index = {e: i for i, e in enumerate(lat.elements)}
     lines = [
         "digraph hasse {",
         "  rankdir=BT;",
@@ -737,8 +748,8 @@ def lattice_to_dot(lat: Lattice) -> str:
     ]
     for i, e in enumerate(lat.elements):
         lines.append(f'  n{i} [label="{format_subset(e)}"];')
-    for lo, hi in sorted(edges, key=lambda p: (index[p[0]], index[p[1]])):
-        lines.append(f"  n{index[lo]} -> n{index[hi]};")
+    for lo, hi in hasse_cover(lat):
+        lines.append(f"  n{lat.index_of(lo)} -> n{lat.index_of(hi)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -36,7 +36,6 @@ __all__ = [
     "noise_at",
     "step",
     "audit_consistency",
-    "recount_active_counts",
 ]
 
 
@@ -139,10 +138,9 @@ class SimState:
     cluster lookup: ``hist[s]`` is the number of clusters of size s and
     ``act[s]`` the active molecules summed over those clusters.  They are
     built from ``c0``/``c1`` on construction (so ``clone`` rebuilds them)
-    and every mutator in this module keeps them exact.  Code that sets
-    activity flags directly must call ``recount_active_counts``, which
-    rebuilds ``c1`` and ``act``; code that changes cluster sizes must
-    build a new state.
+    and every mutator in this module keeps them exact.  Activity flags
+    change only through ``flip``, which keeps ``c1`` and ``act`` exact as
+    it goes; code that changes cluster sizes must build a new state.
     """
 
     t: int
@@ -166,6 +164,19 @@ class SimState:
     @property
     def c_max(self) -> int:
         return len(self.c0)
+
+    def flip(self, idx: np.ndarray) -> int:
+        """Toggle the activity of the distinct molecules ``idx``; each
+        flip moves its cluster's active count and the ``act`` table by
+        one.  Returns the number of flips."""
+        if idx.size:
+            m1, c0, c1, act = self.m1, self.c0, self.c1, self.act
+            m1[idx] ^= 1
+            for k, bit in zip(self.m0[idx].tolist(), m1[idx].tolist()):
+                delta = 1 if bit else -1
+                c1[k] += delta
+                act[c0[k]] += delta
+        return int(idx.size)
 
     def active_total(self) -> int:
         return int(np.count_nonzero(self.m1))
@@ -219,16 +230,6 @@ def _sum_by_size(sizes, values, n: int) -> list:
     for size, value in zip(sizes, values):
         table[size] += value
     return table
-
-
-def recount_active_counts(state: SimState) -> None:
-    """Rebuild every cluster's active count from the molecule flags, and
-    the ``act`` table from those counts; sizes, and so ``hist``, stay."""
-    counts = np.bincount(
-        state.m0[state.m1 != 0], minlength=state.c_max
-    )
-    state.c1 = counts.tolist()
-    state.act = _sum_by_size(state.c0, state.c1, state.n_molecules)
 
 
 def _merge_clusters(state: SimState, p: int, q: int) -> None:
@@ -328,40 +329,24 @@ def apply_boundary_rules(state: SimState) -> str:
     population; full aggregation (one cluster) activates it.  Anywhere in
     between nothing happens.
     """
-    n = state.n_molecules
     cm = state.c_max
-    # Sizes do not change, so hist stays; act has one nonzero entry.
-    if cm == n:
-        state.m1[:] = 0
-        state.c1 = [0] * n
-        state.act[1] = 0
+    if cm == state.n_molecules:
+        state.flip(state.m1.nonzero()[0])
         return "all_inactivated"
     if cm == 1:
-        state.m1[:] = 1
-        state.c1 = [n]
-        state.act[n] = n
+        state.flip((state.m1 == 0).nonzero()[0])
         return "all_activated"
     return "none"
 
 
 def apply_noise(state: SimState, p: float) -> int:
-    """Flip each molecule's activity independently with probability p.
-
-    Returns the number of flips; each flip moves its cluster's active
-    count and the ``act`` table by one.  With p <= 0 no random draws are
-    consumed.
+    """Flip each molecule's activity independently with probability p,
+    through ``SimState.flip``; returns the number of flips.  With p <= 0
+    no random draws are consumed.
     """
     if p <= 0.0:
         return 0
-    flipped = (state.rng.random(state.n_molecules) < p).nonzero()[0]
-    if flipped.size:
-        m1, c0, c1, act = state.m1, state.c0, state.c1, state.act
-        m1[flipped] ^= 1
-        for k, bit in zip(state.m0[flipped].tolist(), m1[flipped].tolist()):
-            delta = 1 if bit else -1
-            c1[k] += delta
-            act[c0[k]] += delta
-    return int(flipped.size)
+    return state.flip((state.rng.random(state.n_molecules) < p).nonzero()[0])
 
 
 def step(state: SimState, params: SimParams) -> StepReport:
@@ -369,7 +354,9 @@ def step(state: SimState, params: SimParams) -> StepReport:
 
     When the interplay is enabled the boundary rules run once more after
     the kick so an extreme reached within the step keeps its mandated
-    activity.  The step counter increments last.
+    activity.  Noise and the kick never change cluster sizes, so that
+    second call reports the rule the first one did and its result is not
+    kept.  The step counter increments last.
     """
     if state.t >= params.max_steps:
         raise ValueError(
@@ -383,9 +370,7 @@ def step(state: SimState, params: SimParams) -> StepReport:
     if params.interplay_enabled:
         outcome = interplay.run_interplay(state, params)
         coherence_flips = outcome.flips
-        b2 = apply_boundary_rules(state)
-        if boundary == "none":
-            boundary = b2
+        apply_boundary_rules(state)
     state.t += 1
     return StepReport(
         t=state.t,

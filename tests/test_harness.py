@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from chemlattice import lattice as lattice_module
 from chemlattice.errors import ConfigError
 from chemlattice.harness import (
     BUILTIN_NAMES,
@@ -166,6 +167,14 @@ def test_every_config_field_parses_to_the_dataclass_value():
         ({"kind": "single", "sim": {"seed": True}}, r"^sim\.seed must be int, got bool"),
         ({"kind": "single", "sim": {"theta_c": False}},
          r"^sim\.theta_c must be a number, got bool"),
+        ({"kind": "ramp", "ramp": {**_RAMP_JSON, "rate": float("nan")}},
+         r"^ramp\.rate must be a finite number"),
+        ({"kind": "single", "analysis": {"min_amplitude": float("nan")}},
+         r"^analysis\.min_amplitude must be a finite number"),
+        ({"kind": "single", "sim": {"theta_c": float("inf")}},
+         r"^sim\.theta_c must be a finite number"),
+        ({"kind": "sweep", "sweep_values": [0.1, float("-inf")]},
+         r"^sweep_values\[1\] must be a finite number"),
     ],
 )
 def test_config_rejections_name_their_path(obj, path):
@@ -331,6 +340,19 @@ def test_lattice_scenario_artifacts(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["n_elements"] == 8
     assert summary["n_hasse_edges"] == 12
+
+
+def test_hasse_cover_is_scanned_once_per_lattice_run(tmp_path, monkeypatch):
+    scans = []
+    scan = lattice_module._scan_cover
+
+    def counted(lat):
+        scans.append(lat)
+        return scan(lat)
+
+    monkeypatch.setattr(lattice_module, "_scan_cover", counted)
+    run_scenario(builtin_config("fig5-lattice"), str(tmp_path))
+    assert len(scans) == 1
 
 
 def test_run_sweep_grid_aggregates_sub_runs(tmp_path):

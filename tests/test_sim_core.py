@@ -16,7 +16,6 @@ from chemlattice.sim_core import (
     audit_consistency,
     init_state,
     noise_at,
-    recount_active_counts,
     step,
 )
 
@@ -350,11 +349,20 @@ def test_audit_clean_after_long_mixed_run():
     assert audit_consistency(state) == []
 
 
-def test_recount_rebuilds_c1_from_flags():
-    state = make_state([(4, 2), (3, 0)])
-    state.m1[:] = 1
-    recount_active_counts(state)
-    assert state.c1 == [4, 3]
+def test_flip_keeps_counts_exact_and_undoes_itself():
+    state = make_state([(4, 2), (1, 1), (3, 0), (1, 0), (4, 4)])
+    before = state.clone()
+    idx = np.array([0, 3, 4, 6, 7, 8, 9, 12])  # both flags, sizes 1, 3 and 4
+    assert state.flip(idx) == idx.size
+    assert state.m1[idx].tolist() == [0, 1, 0, 1, 1, 1, 0, 0]
+    c1 = np.bincount(state.m0[state.m1 != 0], minlength=state.c_max).tolist()
+    act = [sum(a for s, a in zip(state.c0, c1) if s == size)
+           for size in range(state.n_molecules + 1)]
+    assert (state.c1, state.act) == (c1, act)
+    assert audit_consistency(state) == []
+    assert state.flip(idx) == idx.size
+    assert np.array_equal(state.m1, before.m1)
+    assert (state.c1, state.act) == (before.c1, before.act)
 
 
 # ----------------------------------------------------------- properties

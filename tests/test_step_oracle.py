@@ -12,7 +12,7 @@ step: same state, same generator state, same report.
 from dataclasses import dataclass
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chemlattice.sim_core import (
     NoiseSchedule,
@@ -183,7 +183,25 @@ oracle_params = st.builds(
 )
 
 
+def boundary_run(n_molecules, p0):
+    """Two or three molecules sit at a boundary most steps, and with
+    theta_a = 0 and p_coh = 1 a kick fires between the two boundary
+    calls of every step."""
+    return SimParams(
+        n_molecules=n_molecules,
+        noise_schedule=NoiseSchedule(p0=p0),
+        theta_a=0.0,
+        p_coh=1.0,
+        interplay_enabled=True,
+        max_steps=STEPS,
+    )
+
+
 @given(params=oracle_params)
+@example(params=boundary_run(2, 0.0))
+@example(params=boundary_run(2, 0.5))
+@example(params=boundary_run(3, 0.0))
+@example(params=boundary_run(3, 0.5))
 @settings(max_examples=60, deadline=None)
 def test_step_matches_reference(params):
     state, ref = init_state(params), ref_init(params)
