@@ -3,6 +3,8 @@
 
 Equivalent to calling the CLI once per preset. Sweeps take a while
 (fig11 runs 6 values x 5 seeds); pass --skip-sweeps when iterating.
+fig10 simulates fig9b's config again because it is its own builtin and
+its summary.json carries its own name.
 """
 from __future__ import annotations
 
@@ -15,8 +17,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from chemlattice import harness
 
-SWEEP_NAMES = {"fig11"}
-
 
 def main() -> int:
     ap = argparse.ArgumentParser(description="Run all builtin scenarios")
@@ -28,11 +28,12 @@ def main() -> int:
 
     failures = []
     for name in harness.BUILTIN_NAMES:
-        if args.skip_sweeps and name in SWEEP_NAMES:
+        is_sweep = harness.builtin_config(name).kind == "sweep"
+        if args.skip_sweeps and is_sweep:
             print(f"[skip] {name}")
             continue
         out_dir = args.out / name
-        command = "sweep" if harness.builtin_config(name).kind == "sweep" else "run"
+        command = "sweep" if is_sweep else "run"
         argv = [command, name, "--out", str(out_dir)]
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]

@@ -37,6 +37,10 @@ RETRACE_FRACTION = 0.25
 PLATEAU_LEVEL_FRACTION = 0.75
 PLATEAU_TIME_FRACTION = 0.8
 
+# Shortest series psd accepts, and fewest usable bins a slope fit takes.
+PSD_MIN_SAMPLES = 256
+SLOPE_MIN_BINS = 8
+
 
 @dataclass
 class RunSeries:
@@ -112,14 +116,14 @@ def psd(series: np.ndarray) -> Spectrum:
     Hann-windowed segments whose length is the largest power of two at
     most a quarter of the series, and squared magnitudes are averaged.
     Normalization makes the one-sided density integrate to the series
-    variance (DC excluded); input shorter than 256 samples raises.
+    variance (DC excluded); input shorter than PSD_MIN_SAMPLES raises.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("psd expects a 1-D series")
     n = x.size
-    if n < 256:
-        raise ValueError(f"psd needs at least 256 samples, got {n}")
+    if n < PSD_MIN_SAMPLES:
+        raise ValueError(f"psd needs at least {PSD_MIN_SAMPLES} samples, got {n}")
     seg = 1 << int(np.floor(np.log2(n // 4)))
     hop = seg // 2
     n_segments = (n - seg) // hop + 1
@@ -135,17 +139,24 @@ def psd(series: np.ndarray) -> Spectrum:
     return Spectrum(freq=freq, power=power[1:], n_segments=n_segments)
 
 
-def fit_loglog_slope(spectrum: Spectrum, f_lo: float, f_hi: float) -> tuple:
-    """OLS slope and its standard error of log10 power vs log10 frequency
-    over the band [f_lo, f_hi].  The band must hold at least 8 bins with
+def _fit_bins(spectrum: Spectrum, f_lo: float, f_hi: float) -> np.ndarray:
+    """Mask of the bins a slope fit uses: inside [f_lo, f_hi] with
     positive power."""
     if not 0 < f_lo < f_hi:
         raise ValueError(f"need 0 < f_lo < f_hi, got [{f_lo}, {f_hi}]")
-    pick = (spectrum.freq >= f_lo) & (spectrum.freq <= f_hi) & (spectrum.power > 0)
+    return (spectrum.freq >= f_lo) & (spectrum.freq <= f_hi) & (spectrum.power > 0)
+
+
+def fit_loglog_slope(spectrum: Spectrum, f_lo: float, f_hi: float) -> tuple:
+    """OLS slope and its standard error of log10 power vs log10 frequency
+    over the band [f_lo, f_hi].  The band must hold at least
+    SLOPE_MIN_BINS bins with positive power."""
+    pick = _fit_bins(spectrum, f_lo, f_hi)
     n = int(pick.sum())
-    if n < 8:
+    if n < SLOPE_MIN_BINS:
         raise ValueError(
-            f"band [{f_lo}, {f_hi}] holds {n} usable bins, need at least 8"
+            f"band [{f_lo}, {f_hi}] holds {n} usable bins, "
+            f"need at least {SLOPE_MIN_BINS}"
         )
     lx = np.log10(spectrum.freq[pick])
     ly = np.log10(spectrum.power[pick])
@@ -254,15 +265,16 @@ def detect_events(series: RunSeries, rise_window: int, fall_window: int,
 def summarize(series: RunSeries, events: list, spectrum: Optional[Spectrum],
               fit_band: tuple = (1e-3, 1e-1)) -> dict:
     """JSON-ready run summary: event counts and spike fraction, the
-    log-log PSD slope over the configured band, and the range of both
-    traces."""
+    log-log PSD slope over the configured band (null without a spectrum
+    or when the band holds fewer than SLOPE_MIN_BINS usable bins), and
+    the range of both traces."""
     counts = {"spike_up": 0, "spike_down": 0, "sawtooth": 0}
     for e in events:
         counts[e.kind] += 1
     total = sum(counts.values())
     spikes = counts["spike_up"] + counts["spike_down"]
     psd_block = None
-    if spectrum is not None:
+    if spectrum is not None and _fit_bins(spectrum, *fit_band).sum() >= SLOPE_MIN_BINS:
         slope, stderr = fit_loglog_slope(spectrum, *fit_band)
         psd_block = {
             "slope": slope,

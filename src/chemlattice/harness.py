@@ -383,16 +383,7 @@ def _run_artifacts(config: ScenarioConfig, params: SimParams, kind: str) -> tupl
     )
     trace = series.active_count if opts.psd_trace == "active" else series.cluster_count
     trace = np.asarray(trace, dtype=np.float64)[opts.burn_in :]
-    spectrum = None
-    if len(trace) >= 256:
-        spectrum = analysis.psd(trace)
-        usable = (
-            (spectrum.freq >= opts.f_lo)
-            & (spectrum.freq <= opts.f_hi)
-            & (spectrum.power > 0)
-        )
-        if usable.sum() < 8:  # too short for a slope fit in this band
-            spectrum = None
+    spectrum = analysis.psd(trace) if len(trace) >= analysis.PSD_MIN_SAMPLES else None
     summary = analysis.summarize(series, events, spectrum, (opts.f_lo, opts.f_hi))
     summary["lock_in"] = detect_lock_in(series)
     summary["n_recorded"] = len(series.t)

@@ -18,6 +18,8 @@ decomposition rather than silently degrading.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -54,6 +56,7 @@ HASSE_MAX_ELEMENTS = 2048
 BLOCK_MAX_ATOMS = 16
 _ORTHO_NODE_CAP = 1_000_000
 MASK_MAX_UNIVERSE = 63  # element masks are held in an int64 array
+_NOT_A_LATTICE = "{} resolves outside the element set; the family is not a lattice"
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,7 +279,6 @@ class Lattice:
         if uniq[-1] != full:
             raise ValueError("the full ground set must be an element (top)")
         self._masks = uniq
-        self._mask_arr = np.array(uniq, dtype=np.int64)
         self._index = {m: i for i, m in enumerate(uniq)}
         self._elements = [self._to_set(m) for m in uniq]
         self._sub = None
@@ -332,23 +334,18 @@ class Lattice:
 
     def _subset_matrix(self) -> np.ndarray:
         if self._sub is None:
-            m = self._mask_arr
+            m = np.array(self._masks, dtype=np.int64)
             self._sub = (m[:, None] & ~m[None, :]) == 0
         return self._sub
 
-    def _lookup_masks(self, masks: np.ndarray, what: str) -> np.ndarray:
-        idx = np.searchsorted(self._mask_arr, masks)
-        idx = np.clip(idx, 0, len(self._masks) - 1)
-        bad = self._mask_arr[idx] != masks
-        if bad.any():
-            raise ValueError(
-                f"{what} resolves outside the element set; "
-                "the family is not a lattice"
-            )
-        return idx.astype(np.int32)
-
     def _tables(self):
-        """Dense meet/join index tables, built once, capped in size."""
+        """Dense meet/join index tables, built once, capped in size.
+
+        Bounds come from the inclusion order alone: element indices
+        extend inclusion, so a join is the first common upper bound and
+        a meet the last common lower bound, provided it lies inside
+        (contains) every other one; otherwise the family is no lattice.
+        """
         if self._meet_tab is None:
             n = len(self._masks)
             if n > LAW_MAX_ELEMENTS:
@@ -357,21 +354,20 @@ class Lattice:
                     f"elements (got {n}); decompose the relation into blocks"
                 )
             sub = self._subset_matrix()
-            m = self._mask_arr
-            full = self._masks[-1]
+            # below[i, r]: element n-1-r lies below i; reversed columns make
+            # the last lower bound the first hit (contiguous: 5x faster rows)
+            below = np.ascontiguousarray(sub.T[:, ::-1])
             meet_tab = np.empty((n, n), dtype=np.int32)
             join_tab = np.empty((n, n), dtype=np.int32)
             for i in range(n):
-                below = sub[:, i:i + 1] & sub          # k below i and k below j
-                or_all = np.bitwise_or.reduce(
-                    np.where(below, m[:, None], 0), axis=0
-                )
-                meet_tab[i] = self._lookup_masks(or_all, "a meet")
-                above = sub[i, :][:, None] & sub.T      # k above i and k above j
-                and_all = np.bitwise_and.reduce(
-                    np.where(above, m[:, None], full), axis=0
-                )
-                join_tab[i] = self._lookup_masks(and_all, "a join")
+                down = below[i] & below                 # below i and below j
+                meet_tab[i] = n - 1 - down.argmax(axis=1)
+                if (down & ~below[meet_tab[i]]).any():
+                    raise ValueError(_NOT_A_LATTICE.format("a meet"))
+                up = sub[i] & sub                       # k above i and above j
+                join_tab[i] = up.argmax(axis=1)
+                if (up & ~sub[join_tab[i]]).any():
+                    raise ValueError(_NOT_A_LATTICE.format("a join"))
             self._meet_tab = meet_tab
             self._join_tab = join_tab
         return self._meet_tab, self._join_tab
@@ -494,6 +490,49 @@ class OrthomodularityReport:
     note: str = ""
 
 
+def _oml_break(mt, jt, sub, x: int, c: int) -> Optional[int]:
+    """First y >= x with y != x ∨ (c ∧ y), or None: where complement c
+    of x breaks the orthomodular law."""
+    ups = np.flatnonzero(sub[x])
+    bad = ups[jt[x, mt[c, ups]] != ups]
+    return int(bad[0]) if bad.size else None
+
+
+def _reverses_order(sub, assign, x: int, c: int) -> bool:
+    """Whether pairing x with c keeps the assigned pairs order-reversing:
+    u <= x implies c <= u' (and the same for x <= u, u <= c, c <= u)."""
+    u = np.flatnonzero(assign >= 0)
+    pu = assign[u]
+    return not (
+        (sub[u, x] & ~sub[c, pu]).any()
+        or (sub[x, u] & ~sub[pu, c]).any()
+        or (sub[u, c] & ~sub[x, pu]).any()
+        or (sub[c, u] & ~sub[pu, x]).any()
+    )
+
+
+def _extend(assign, comp, fits, nodes) -> bool:
+    """Complete a partial complement assignment in place, depth first:
+    pair the first unassigned element with each free candidate of its
+    ``comp`` row that ``fits`` accepts.  Each call draws one search node
+    from ``nodes``; node _ORTHO_NODE_CAP + 1 raises CapacityError."""
+    if next(nodes) >= _ORTHO_NODE_CAP:
+        raise CapacityError("orthocomplement search exceeded its node budget")
+    todo = np.flatnonzero(assign < 0)
+    if todo.size == 0:
+        return True
+    x = int(todo[0])
+    for c in np.flatnonzero(comp[x]).tolist():
+        if assign[c] >= 0 or c == x or not fits(x, c):
+            continue
+        assign[x] = c
+        assign[c] = x
+        if _extend(assign, comp, fits, nodes):
+            return True
+        assign[x] = assign[c] = -1
+    return False
+
+
 def _search_orthocomplement(lat: Lattice, enforce_oml: bool):
     """Backtracking search for an involutive order-reversing complement
     assignment; optionally prunes branches violating the orthomodular
@@ -501,65 +540,20 @@ def _search_orthocomplement(lat: Lattice, enforce_oml: bool):
     mt, jt = lat._tables()
     sub = lat._subset_matrix()
     n = len(lat)
-    bottom, top = 0, n - 1
-    comp_sets = [np.flatnonzero((mt[x] == bottom) & (jt[x] == top)) for x in range(n)]
+    comp = (mt == 0) & (jt == n - 1)
     assign = np.full(n, -1, dtype=np.int64)
-    assign[bottom] = top
-    assign[top] = bottom
-    budget = [_ORTHO_NODE_CAP]
+    assign[0] = n - 1
+    assign[n - 1] = 0
 
-    all_idx = np.arange(n)
-
-    def law_ok(x: int, c: int) -> bool:
-        ups = all_idx[sub[x]]
-        if not (jt[x, mt[c, ups]] == ups).all():
+    def fits(x: int, c: int) -> bool:
+        if not _reverses_order(sub, assign, x, c):
             return False
-        ups_c = all_idx[sub[c]]
-        return (jt[c, mt[x, ups_c]] == ups_c).all()
+        return not enforce_oml or (
+            _oml_break(mt, jt, sub, x, c) is None
+            and _oml_break(mt, jt, sub, c, x) is None
+        )
 
-    def reversal_ok(x: int, c: int) -> bool:
-        done = np.flatnonzero(assign >= 0)
-        partners = assign[done]
-        for u, up in zip(done, partners):
-            u, up = int(u), int(up)
-            if sub[u, x] and not sub[c, up]:
-                return False
-            if sub[x, u] and not sub[up, c]:
-                return False
-            if sub[u, c] and not sub[x, up]:
-                return False
-            if sub[c, u] and not sub[up, x]:
-                return False
-        return True
-
-    def backtrack() -> bool:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise CapacityError(
-                "orthocomplement search exceeded its node budget"
-            )
-        todo = np.flatnonzero(assign < 0)
-        if todo.size == 0:
-            return True
-        x = int(todo[0])
-        for c in comp_sets[x]:
-            c = int(c)
-            if assign[c] >= 0 or c == x:
-                continue
-            if not reversal_ok(x, c):
-                continue
-            if enforce_oml and not law_ok(x, c):
-                continue
-            assign[x] = c
-            assign[c] = x
-            if backtrack():
-                return True
-            assign[x] = -1
-            assign[c] = -1
-        return False
-
-    found = backtrack()
-    return (assign.copy() if found else None)
+    return assign if _extend(assign, comp, fits, itertools.count()) else None
 
 
 def check_orthomodular(lat: Lattice) -> OrthomodularityReport:
@@ -586,12 +580,10 @@ def check_orthomodular(lat: Lattice) -> OrthomodularityReport:
     mt, jt = lat._tables()
     sub = lat._subset_matrix()
     for x in range(n):
-        c = int(assign[x])
-        for y in np.flatnonzero(sub[x]):
-            y = int(y)
-            if jt[x, mt[c, y]] != y:
-                witness = (lat._elements[x], lat._elements[y])
-                return OrthomodularityReport(False, witness, cmap, "")
+        y = _oml_break(mt, jt, sub, x, int(assign[x]))
+        if y is not None:
+            witness = (lat._elements[x], lat._elements[y])
+            return OrthomodularityReport(False, witness, cmap, "")
 
 
 def _atom_indices(lat: Lattice) -> list:
@@ -620,58 +612,51 @@ def _cube_indices(lat: Lattice, atom_idx: Sequence[int]):
     return cube
 
 
-def _boolean_blocks_raw(lat: Lattice, assign=None) -> list:
+def _cubes(lat: Lattice, atoms: Sequence[int], current: list):
+    """Yield (atom indices, cube) for every extension of ``current`` by
+    later atoms whose joins form a Boolean cube, depth first, each set
+    before its own extensions."""
+    start = current[-1] if current else -1
+    for a in atoms:
+        if a <= start:
+            continue
+        trial = current + [a]
+        cube = _cube_indices(lat, trial)
+        if cube is not None:
+            yield tuple(trial), cube
+            yield from _cubes(lat, atoms, trial)
+
+
+def _boolean_blocks_raw(lat: Lattice) -> list:
     """Atom sets spanning Boolean sublattices, as (atom indices, cube).
 
     Every atom subset whose joins form a Boolean cube is enumerated.
-    When an orthocomplement assignment is available, only cubes agreeing
-    with it survive (each atom's in-cube complement, the join of the
-    others, must be its orthocomplement); that distinguishes genuine
-    blocks from accidental cubes such as a cross pair of atoms from two
-    different blocks, whose meet is bottom and join top all the same.
-    The inclusion-maximal surviving sets are returned.  Without any
-    complement assignment the inclusion-maximal cubes stand as found.
+    When the lattice has an orthocomplement assignment, only cubes
+    agreeing with it survive (each atom's in-cube complement, the join
+    of the others, must be its orthocomplement); that distinguishes
+    genuine blocks from accidental cubes such as a cross pair of atoms
+    from two different blocks, whose meet is bottom and join top all the
+    same.  The inclusion-maximal surviving sets are returned.  Without
+    any complement assignment the inclusion-maximal cubes stand as found.
     """
+    assign = lat._orthocomplement()[0]
     atoms = _atom_indices(lat)
     if len(atoms) > BLOCK_MAX_ATOMS:
         raise CapacityError(
             f"Boolean block search is capped at {BLOCK_MAX_ATOMS} atoms "
             f"(got {len(atoms)})"
         )
-    cubes = []
-
-    def dfs(current: list, cube):
-        if current:
-            cubes.append((tuple(current), cube))
-        start = current[-1] if current else -1
-        for a in atoms:
-            if a <= start:
-                continue
-            trial_cube = _cube_indices(lat, current + [a])
-            if trial_cube is not None:
-                dfs(current + [a], trial_cube)
-
-    dfs([], None)
-
-    def consistent(atom_idx, cube) -> bool:
-        if assign is None:
-            return True
-        k = len(atom_idx)
-        top_mask = (1 << k) - 1
-        return all(
-            int(cube[top_mask ^ (1 << bit)]) == int(assign[atom_idx[bit]])
-            for bit in range(k)
-        )
-
     surviving = [
-        (atom_idx, cube) for atom_idx, cube in cubes if consistent(atom_idx, cube)
+        (atom_idx, cube)
+        for atom_idx, cube in _cubes(lat, atoms, [])
+        if assign is None
+        or all(
+            cube[(cube.size - 1) ^ (1 << bit)] == assign[a]
+            for bit, a in enumerate(atom_idx)
+        )
     ]
-    keep = []
     sets = [frozenset(a) for a, _ in surviving]
-    for i, (atom_idx, cube) in enumerate(surviving):
-        if not any(j != i and sets[i] < sets[j] for j in range(len(surviving))):
-            keep.append((atom_idx, cube))
-    return keep
+    return [b for b, s in zip(surviving, sets) if not any(s < t for t in sets)]
 
 
 def boolean_blocks(lat: Lattice) -> list:
@@ -682,11 +667,14 @@ def boolean_blocks(lat: Lattice) -> list:
     lattice carries an orthocomplementation, blocks are additionally
     required to agree with it (see _boolean_blocks_raw).
     """
-    out = []
-    for atom_idx, cube in _boolean_blocks_raw(lat, lat._orthocomplement()[0]):
-        atoms = tuple(lat._elements[i] for i in atom_idx)
-        out.append((atoms, int(cube.size)))
-    return out
+    return _block_elements(lat, _boolean_blocks_raw(lat))
+
+
+def _block_elements(lat: Lattice, raw_blocks: list) -> list:
+    return [
+        (tuple(lat._elements[i] for i in atom_idx), int(cube.size))
+        for atom_idx, cube in raw_blocks
+    ]
 
 
 @dataclass(frozen=True)
@@ -708,24 +696,14 @@ def analyze_laws(lat: Lattice) -> LawReport:
     checks and collect the results."""
     dist = check_distributive(lat)
     ortho = check_orthomodular(lat)
-    raw_blocks = _boolean_blocks_raw(lat, lat._orthocomplement()[0])
-    blocks = [
-        (tuple(lat._elements[i] for i in atom_idx), int(cube.size))
-        for atom_idx, cube in raw_blocks
-    ]
-    membership = {}
-    for bi, (_, cube) in enumerate(raw_blocks):
-        for e in cube.tolist():
-            membership.setdefault(int(e), set()).add(bi)
-    shared = sorted(
-        (e for e, bs in membership.items() if len(bs) >= 2)
-    )
-    shared_elements = [lat._elements[e] for e in shared]
+    raw_blocks = _boolean_blocks_raw(lat)
+    # a cube lists each element once, so a count is a number of blocks
+    counts = Counter(e for _, cube in raw_blocks for e in cube.tolist())
     return LawReport(
         distributive=dist.holds,
         distributive_witness=dist.witness,
-        boolean_blocks=blocks,
-        shared_elements=shared_elements,
+        boolean_blocks=_block_elements(lat, raw_blocks),
+        shared_elements=[lat._elements[e] for e in sorted(counts) if counts[e] >= 2],
         orthomodular=ortho.holds,
         orthomodular_witness=ortho.witness,
         complement_map=ortho.complement_map,

@@ -270,3 +270,12 @@ def test_summary_reports_the_fitted_slope():
     doc = summarize(s, [], psd(s.active_count.astype(float)), (1e-2, 1e-1))
     assert set(doc["psd"]) == {"slope", "stderr", "f_lo", "f_hi", "n_segments"}
     assert abs(doc["psd"]["slope"]) < 0.5
+
+
+def test_summary_has_no_slope_when_the_band_holds_too_few_bins():
+    x = np.random.default_rng(5).normal(size=4096)
+    s = series_from(np.round(100 + 10 * x))
+    spectrum = psd(s.active_count.astype(float))
+    with pytest.raises(ValueError, match="usable bins"):
+        fit_loglog_slope(spectrum, 0.4, 0.401)
+    assert summarize(s, [], spectrum, (0.4, 0.401))["psd"] is None

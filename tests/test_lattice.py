@@ -5,9 +5,12 @@ closure scan written from scratch in this file, so the two routes
 share no code beyond the Relation container.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from chemlattice import lattice as lattice_module
 from chemlattice.errors import CapacityError, ConfigError
@@ -367,6 +370,21 @@ def test_plain_search_runs_only_after_the_pruned_one_fails(monkeypatch):
     assert calls == [True, False]
 
 
+def test_law_checks_leave_no_lattice_for_the_cycle_collector():
+    # Reference counting alone must free an analysed lattice: nothing
+    # the checks build may hold it in a reference cycle.
+    gc.collect()
+    gc.disable()
+    try:
+        lat = enumerate_lattice(build_two_block_relation([4, 4]))
+        analyze_laws(lat)
+        ref = weakref.ref(lat)
+        del lat
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 # ------------------------------------------------------------- exports
 
 
@@ -465,3 +483,71 @@ def test_meet_join_are_tight_bounds(data):
             assert e <= m
         if x <= e and y <= e:
             assert j <= e
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_tables_match_meet_join(data):
+    lat = enumerate_lattice(data.draw(relations(max_rows=6, max_cols=6)))
+    mt, jt = lat._tables()
+    elems = lat.elements
+    for i, x in enumerate(elems):
+        for j, y in enumerate(elems):
+            m, jn = meet_join(lat, x, y)
+            assert (mt[i, j], jt[i, j]) == (lat.index_of(m), lat.index_of(jn))
+
+
+@given(
+    universe=st.integers(1, 5),
+    masks=st.lists(st.integers(0, 31), max_size=10),
+)
+@example(universe=4, masks=[0b0001, 0b0010, 0b0111, 0b1011])  # no join
+@example(universe=4, masks=[0b0001, 0b0010, 0b0111, 0b1011, 0b0011])  # a lattice
+@settings(max_examples=300, deadline=None)
+def test_tables_reject_exactly_the_non_lattice_families(universe, masks):
+    full = (1 << universe) - 1
+    lat = Lattice(universe, [0, full] + [m & full for m in masks])
+    elems = lat.elements
+    try:
+        for x in elems:
+            for y in elems:
+                meet_join(lat, x, y)
+        is_lattice = True
+    except ValueError:
+        is_lattice = False
+    if is_lattice:
+        lat._tables()
+    else:
+        with pytest.raises(ValueError, match="not a lattice"):
+            lat._tables()
+
+
+@st.composite
+def lattices(draw):
+    """Closure lattices of relations, or set families with bottom and
+    top that happen to be lattices."""
+    if draw(st.booleans()):
+        return enumerate_lattice(draw(relations(max_rows=6, max_cols=6)))
+    universe = draw(st.integers(1, 6))
+    full = (1 << universe) - 1
+    lat = Lattice(universe, [0, full] + draw(st.lists(st.integers(0, full), max_size=8)))
+    try:
+        lat._tables()
+    except ValueError:
+        assume(False)
+    return lat
+
+
+@given(lat=lattices())
+# its complements admit no order-reversing choice
+@example(lat=Lattice(5, [0, 0b00110, 0b01001, 0b01101, 0b11000, 0b11111]))
+@settings(max_examples=300, deadline=None)
+def test_found_orthocomplement_is_an_involutive_order_reversing_complement(lat):
+    cmap = check_orthomodular(lat).complement_map
+    assume(cmap is not None)
+    for x, c in cmap.items():
+        assert cmap[c] == x
+        assert meet_join(lat, x, c) == (lat.bottom, lat.top)
+        for y in lat.elements:
+            if x <= y:
+                assert cmap[y] <= c
