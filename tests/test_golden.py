@@ -6,7 +6,9 @@ path.  A change that alters any trajectory, analysis result or artifact
 format fails here; such a change is a declared re-baseline, and the
 pins below are regenerated together with it.  The fig11 sweep pins
 grid.json on its own and its 60 per-cell files as one combined digest
-(sha256 of the sorted "path sha256" lines).
+(sha256 of the sorted "path sha256" lines).  The two 512-element ad-hoc
+lattices, diag:9 (Boolean, distributive) and blocks:8,8 (two blocks, not
+distributive), pin the law checks at the table-size cap.
 """
 
 import hashlib
@@ -26,6 +28,8 @@ ARGV = {
     "fig10": ["run", "fig10", "--steps", "5000"],
     "fig12": ["run", "fig12", "--steps", "12000"],
     "fig11": ["sweep", "fig11", "--steps", "1000"],
+    "diag:9": ["lattice", "diag:9"],
+    "blocks:8,8": ["lattice", "blocks:8,8"],
 }
 
 GOLDEN = {
@@ -62,6 +66,16 @@ GOLDEN = {
     "fig11": {
         "grid.json": "ac8788a2ac3bfff50d3a519e0539e26fbff5c7019233ae09952dd74e50161c7b",
         "cells": "63f510f62b7b825670d60e6c9ec11f524e0d38cad816ec1bb111e56f5d02b5b9",
+    },
+    "diag:9": {
+        "lattice.dot": "85a7dbd05ffcb0c5c695764245e11e754ca9cc9d3e4f78f1d230e1041fa9d420",
+        "laws.json": "206b389982d7e737faa1a778423874351152b5a15d83aa6c60da7fd9fee41cf3",
+        "summary.json": "283e82e68e53c19398a4512fab395cadb488f684a71f2220d34822343d780e37",
+    },
+    "blocks:8,8": {
+        "lattice.dot": "9b9e31795508dc101cf2571fc25d875240b051eb6c7c0e17f7d5265b74b4e0e5",
+        "laws.json": "5d79d5367879950818c0eec21db908de335ff581491abedb90f152c1e5d28687",
+        "summary.json": "a7e02328b4b99dec1715bee72ec42c5dbe11d6255f4bd458a2d8627f12fbc319",
     },
 }
 
