@@ -56,7 +56,7 @@ HASSE_MAX_ELEMENTS = 2048
 BLOCK_MAX_ATOMS = 16
 _ORTHO_NODE_CAP = 1_000_000
 MASK_MAX_UNIVERSE = 63  # element masks are held in an int64 array
-_NOT_A_LATTICE = "{} resolves outside the element set; the family is not a lattice"
+_NOT_A_LATTICE = "a join resolves outside the element set; the family is not a lattice"
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,9 +342,12 @@ class Lattice:
         """Dense meet/join index tables, built once, capped in size.
 
         Bounds come from the inclusion order alone: element indices
-        extend inclusion, so a join is the first common upper bound and
-        a meet the last common lower bound, provided it lies inside
-        (contains) every other one; otherwise the family is no lattice.
+        extend inclusion, so a join is the first common upper bound,
+        provided it lies inside every other one; otherwise the family is
+        no lattice.  Only joins need that check: a finite poset with a
+        bottom and all binary joins has all binary meets (the join of
+        the common lower bounds), and a greatest lower bound contains
+        every other lower bound, so it is the last one.
         """
         if self._meet_tab is None:
             n = len(self._masks)
@@ -360,14 +363,11 @@ class Lattice:
             meet_tab = np.empty((n, n), dtype=np.int32)
             join_tab = np.empty((n, n), dtype=np.int32)
             for i in range(n):
-                down = below[i] & below                 # below i and below j
-                meet_tab[i] = n - 1 - down.argmax(axis=1)
-                if (down & ~below[meet_tab[i]]).any():
-                    raise ValueError(_NOT_A_LATTICE.format("a meet"))
+                meet_tab[i] = n - 1 - (below[i] & below).argmax(axis=1)
                 up = sub[i] & sub                       # k above i and above j
                 join_tab[i] = up.argmax(axis=1)
                 if (up & ~sub[join_tab[i]]).any():
-                    raise ValueError(_NOT_A_LATTICE.format("a join"))
+                    raise ValueError(_NOT_A_LATTICE)
             self._meet_tab = meet_tab
             self._join_tab = join_tab
         return self._meet_tab, self._join_tab
@@ -464,14 +464,23 @@ class DistributivityReport:
 
 
 def check_distributive(lat: Lattice) -> DistributivityReport:
-    """Exhaustive check of meet-over-join on all triples.
+    """Check meet-over-join, x ∧ (y ∨ z) = (x ∧ y) ∨ (x ∧ z).
 
-    Returns the first failing triple (x, y, z) in element order as a
-    witness, where x ∧ (y ∨ z) != (x ∧ y) ∨ (x ∧ z).
+    The verdict is Birkhoff's (Davey & Priestley, Introduction to
+    Lattices and Order, 2nd ed., ch. 5): a finite lattice is distributive
+    iff every join-irreducible j (one lower cover) is join-prime, that
+    is j <= x ∨ y only if j <= x or j <= y.  Only on failure does the
+    triple scan run, for the first failing triple (x, y, z) in element
+    order as the witness.
     """
     mt, jt = lat._tables()
-    n = len(lat)
-    for x in range(n):
+    covers = Counter(hi for _, hi in lat._cover_pairs())
+    ups = lat._subset_matrix()[[j for j, c in covers.items() if c == 1]]
+    if not any((up[jt] & ~(up[:, None] | up[None, :])).any() for up in ups):
+        return DistributivityReport(True, None)
+    # Some j <= x ∨ y lies below neither x nor y, so j ∧ x and j ∧ y lie
+    # below j's one lower cover and (j, x, y) fails: the scan always returns.
+    for x in range(len(lat)):
         lhs = mt[x][jt]
         rhs = jt[mt[x][:, None], mt[x][None, :]]
         diff = lhs != rhs
@@ -479,7 +488,6 @@ def check_distributive(lat: Lattice) -> DistributivityReport:
             y, z = map(int, np.argwhere(diff)[0])
             witness = (lat._elements[x], lat._elements[y], lat._elements[z])
             return DistributivityReport(False, witness)
-    return DistributivityReport(True, None)
 
 
 @dataclass(frozen=True)
@@ -724,10 +732,11 @@ def lattice_to_dot(lat: Lattice) -> str:
         "  rankdir=BT;",
         '  node [shape=box, fontname="Helvetica"];',
     ]
-    for i, e in enumerate(lat.elements):
+    index = {e: i for i, e in enumerate(lat._elements)}
+    for e, i in index.items():
         lines.append(f'  n{i} [label="{format_subset(e)}"];')
     for lo, hi in hasse_cover(lat):
-        lines.append(f"  n{lat.index_of(lo)} -> n{lat.index_of(hi)};")
+        lines.append(f"  n{index[lo]} -> n{index[hi]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -551,3 +551,32 @@ def test_found_orthocomplement_is_an_involutive_order_reversing_complement(lat):
         for y in lat.elements:
             if x <= y:
                 assert cmap[y] <= c
+
+
+def triple_scan_distributive(lat) -> bool:
+    """Reference verdict: meet over join on every triple (x, y, z)."""
+    mt, jt = lat._tables()
+    return not any(
+        (mt[x][jt] != jt[mt[x][:, None], mt[x][None, :]]).any()
+        for x in range(len(lat))
+    )
+
+
+M3 = Lattice.from_subsets(4, [(), (0, 1), (0, 2), (0, 3), (0, 1, 2, 3)])
+N5 = Lattice.from_subsets(3, [(), (0,), (0, 1), (2,), (0, 1, 2)])
+CHAIN = Lattice.from_subsets(3, [(), (0,), (0, 1), (0, 1, 2)])
+
+
+@pytest.mark.parametrize("lat", [M3, N5], ids=["M3", "N5"])
+def test_m3_and_n5_are_not_distributive(lat):
+    report = check_distributive(lat)
+    assert not report.holds and report.witness is not None
+
+
+@given(lat=lattices())
+@example(lat=M3)
+@example(lat=N5)
+@example(lat=CHAIN)
+@settings(max_examples=300, deadline=None)
+def test_join_prime_verdict_matches_the_triple_scan(lat):
+    assert check_distributive(lat).holds == triple_scan_distributive(lat)
