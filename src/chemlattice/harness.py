@@ -11,6 +11,7 @@ the grid can grow without perturbing existing cells.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -395,8 +396,10 @@ def _run_artifacts(config: ScenarioConfig, params: SimParams, kind: str) -> tupl
 
 def _write_artifacts(config: ScenarioConfig, out_dir: str, files: dict) -> dict:
     """Write the files, then manifest.json with their digests; returns
-    the manifest."""
+    the manifest.  A failed rewrite leaves no old manifest behind."""
     os.makedirs(out_dir, exist_ok=True)
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(os.path.join(out_dir, "manifest.json"))
     manifest_files = {}
     for rel_path, text in sorted(files.items()):
         full = os.path.join(out_dir, rel_path)

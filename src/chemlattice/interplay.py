@@ -31,14 +31,13 @@ __all__ = [
 @dataclass(frozen=True)
 class InterplayOutcome:
     """One interplay evaluation: the modal size, its representative, the
-    activity ratio fed to the kick, whether the kick fired, the activity
-    value it pushed toward, and how many flags actually changed."""
+    activity ratio fed to the kick, whether the kick fired, and how many
+    flags actually changed."""
 
     mode_size: int
     representative: int
     r_a: float
     kicked: bool
-    target_value: int
     flips: int
 
 
@@ -111,6 +110,5 @@ def run_interplay(state: "SimState", params: "SimParams") -> InterplayOutcome:
         representative=representative,
         r_a=r_a,
         kicked=kicked,
-        target_value=target_activity(r_a),
         flips=flips,
     )

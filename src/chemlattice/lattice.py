@@ -594,69 +594,54 @@ def check_orthomodular(lat: Lattice) -> OrthomodularityReport:
             return OrthomodularityReport(False, witness, cmap, "")
 
 
-def _atom_indices(lat: Lattice) -> list:
-    sub = lat._subset_matrix()
-    below_counts = sub.sum(axis=0)
-    return [i for i in range(1, len(lat)) if int(below_counts[i]) == 2]
-
-
-def _cube_indices(lat: Lattice, atom_idx: Sequence[int]):
-    """Element indices of all joins of subsets of the given atoms, or
-    None when they fail to form a Boolean cube."""
-    mt, jt = lat._tables()
-    k = len(atom_idx)
-    cube = np.zeros(1 << k, dtype=np.int64)
-    for bit, a in enumerate(atom_idx):
-        base = 1 << bit
-        cube[base:2 * base] = jt[cube[:base], a]
-    if len(set(cube.tolist())) != len(cube):
-        return None
-    s = np.arange(1 << k)
-    sel = cube[s]
-    if not (mt[sel[:, None], sel[None, :]] == cube[s[:, None] & s[None, :]]).all():
-        return None
-    if not (jt[sel[:, None], sel[None, :]] == cube[s[:, None] | s[None, :]]).all():
-        return None
-    return cube
-
-
-def _cubes(lat: Lattice, atoms: Sequence[int], current: list):
+def _cubes(mt, jt, atoms: Sequence[int], current: tuple, cube):
     """Yield (atom indices, cube) for every extension of ``current`` by
-    later atoms whose joins form a Boolean cube, depth first, each set
-    before its own extensions."""
-    start = current[-1] if current else -1
-    for a in atoms:
-        if a <= start:
+    atoms from ``atoms`` whose joins form a Boolean cube, depth first,
+    each set before its own extensions.
+
+    ``cube`` lists the joins of all subsets of ``current`` and is
+    Boolean, so growing it by one atom checks only the new half.  Joins
+    need no check: in any lattice the join of two subset joins is the
+    join of their union.  Meets must be the joins of the intersections;
+    the distinctness test is implied by that but rejects sooner.
+    """
+    for i, a in enumerate(atoms):
+        grown = np.concatenate([cube, jt[cube, a]])
+        if len(set(grown.tolist())) != grown.size:
             continue
-        trial = current + [a]
-        cube = _cube_indices(lat, trial)
-        if cube is not None:
-            yield tuple(trial), cube
-            yield from _cubes(lat, atoms, trial)
+        s = np.arange(grown.size)
+        new = s[cube.size:, None]
+        if (mt[grown[new], grown] == grown[new & s]).all():
+            trial = current + (a,)
+            yield trial, grown
+            yield from _cubes(mt, jt, atoms[i + 1:], trial, grown)
 
 
 def _boolean_blocks_raw(lat: Lattice) -> list:
     """Atom sets spanning Boolean sublattices, as (atom indices, cube).
 
-    Every atom subset whose joins form a Boolean cube is enumerated.
-    When the lattice has an orthocomplement assignment, only cubes
-    agreeing with it survive (each atom's in-cube complement, the join
-    of the others, must be its orthocomplement); that distinguishes
-    genuine blocks from accidental cubes such as a cross pair of atoms
-    from two different blocks, whose meet is bottom and join top all the
-    same.  The inclusion-maximal surviving sets are returned.  Without
-    any complement assignment the inclusion-maximal cubes stand as found.
+    Every subset of the atoms (the upper covers of bottom) whose joins
+    form a Boolean cube is enumerated, growing each from its parent one
+    atom smaller (see _cubes).  When the lattice has an orthocomplement
+    assignment, only cubes agreeing with it survive (each atom's in-cube
+    complement, the join of the others, must be its orthocomplement);
+    that distinguishes genuine blocks from accidental cubes such as a
+    cross pair of atoms from two different blocks, whose meet is bottom
+    and join top all the same.  The inclusion-maximal surviving sets are
+    returned.  Without any complement assignment the inclusion-maximal
+    cubes stand as found.
     """
     assign = lat._orthocomplement()[0]
-    atoms = _atom_indices(lat)
+    atoms = [hi for lo, hi in lat._cover_pairs() if lo == 0]
     if len(atoms) > BLOCK_MAX_ATOMS:
         raise CapacityError(
             f"Boolean block search is capped at {BLOCK_MAX_ATOMS} atoms "
             f"(got {len(atoms)})"
         )
+    cubes = _cubes(*lat._tables(), atoms, (), np.zeros(1, dtype=np.int64))
     surviving = [
         (atom_idx, cube)
-        for atom_idx, cube in _cubes(lat, atoms, [])
+        for atom_idx, cube in cubes
         if assign is None
         or all(
             cube[(cube.size - 1) ^ (1 << bit)] == assign[a]

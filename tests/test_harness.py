@@ -510,6 +510,15 @@ def test_cli_run_accepts_lattice_scenarios(tmp_path):
     assert json.loads((tmp_path / "summary.json").read_text())["n_elements"] == 30
 
 
+
+def test_failed_rewrite_leaves_no_stale_manifest(tmp_path):
+    assert main(["lattice", "fig4-lattice", "--out", str(tmp_path)]) == 0
+    (tmp_path / "summary.json").unlink()
+    (tmp_path / "summary.json").mkdir()  # the rewrite cannot open it
+    assert main(["lattice", "fig5-lattice", "--out", str(tmp_path)]) == 3
+    assert (tmp_path / "laws.json").exists()
+    assert not (tmp_path / "manifest.json").exists()
+
 def test_load_series_reads_back_the_recorded_run(tmp_path):
     config = tiny_single()
     run_scenario(config, str(tmp_path))

@@ -6,6 +6,7 @@ share no code beyond the Relation container.
 """
 
 import gc
+import itertools
 import weakref
 
 import numpy as np
@@ -580,3 +581,60 @@ def test_m3_and_n5_are_not_distributive(lat):
 @settings(max_examples=300, deadline=None)
 def test_join_prime_verdict_matches_the_triple_scan(lat):
     assert check_distributive(lat).holds == triple_scan_distributive(lat)
+
+
+def reference_blocks(lat) -> set:
+    """From-scratch block search over every atom subset: keep those whose
+    joins are distinct and meet and join like intersection and union,
+    then those agreeing with the orthocomplement (when one exists), then
+    the inclusion-maximal ones."""
+    elems, bottom = lat.elements, lat.bottom
+    atoms = [e for e in elems if e != bottom and not any(bottom < f < e for f in elems)]
+    cmap = check_orthomodular(lat).complement_map
+
+    def join_of(atom_set):
+        out = bottom
+        for a in atom_set:
+            out = meet_join(lat, out, a)[1]
+        return out
+
+    found = []
+    for k in range(1, len(atoms) + 1):
+        for combo in map(frozenset, itertools.combinations(atoms, k)):
+            joins = {
+                frozenset(s): join_of(s)
+                for r in range(k + 1)
+                for s in itertools.combinations(combo, r)
+            }
+            if len(set(joins.values())) != len(joins):
+                continue
+            if any(
+                meet_join(lat, joins[s], joins[t]) != (joins[s & t], joins[s | t])
+                for s in joins
+                for t in joins
+            ):
+                continue
+            if cmap is not None and any(cmap[a] != joins[combo - {a}] for a in combo):
+                continue
+            found.append(combo)
+    return {b for b in found if not any(b < c for c in found)}
+
+
+DIAG3 = enumerate_lattice(build_two_block_relation([3], fill_off_blocks=False))
+# atoms A1, A2, A3 have 8 distinct joins, but {A1,A2,A4} ∧ {A2,A3,A4} is
+# {A2,A4}, not A2: only the meet check rejects the 3-atom cube
+MEET_ONLY = Lattice(4, [0b0000, 0b0001, 0b0010, 0b0100, 0b1010, 0b0101, 0b1011, 0b1110, 0b1111])
+
+
+@given(lat=lattices())
+@example(lat=M3)
+@example(lat=N5)
+@example(lat=DIAG3)
+@example(lat=MEET_ONLY)
+@settings(max_examples=300, deadline=None)
+def test_boolean_blocks_match_a_from_scratch_search(lat):
+    blocks = boolean_blocks(lat)
+    sets = [frozenset(atoms) for atoms, _ in blocks]
+    assert len(set(sets)) == len(sets)
+    assert set(sets) == reference_blocks(lat)
+    assert all(count == 2 ** len(atoms) for atoms, count in blocks)
