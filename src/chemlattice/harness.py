@@ -329,7 +329,11 @@ def run_simulation(params: SimParams, record_every: int = 1) -> tuple:
         raise RuntimeError(
             "state audit failed after run: " + "; ".join(violations[:3])
         )
-    noise = np.array([noise_at(params.noise_schedule, int(t)) for t in tt[:k]])
+    schedule = params.noise_schedule
+    if schedule.kind == "constant":
+        noise = np.full(k, schedule.p0)
+    else:
+        noise = np.array([noise_at(schedule, t) for t in tt[:k].tolist()])
     series = analysis.RunSeries(
         t=tt[:k],
         cluster_count=cc[:k],

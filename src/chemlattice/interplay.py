@@ -48,7 +48,7 @@ def modal_cluster(state: "SimState") -> tuple:
     population reports (1, 0).
     """
     hist = state.hist
-    mode_size = hist.index(max(hist))
+    mode_size = hist.index(max(hist[: state.max_size + 1]))
     return mode_size, state.c0.index(mode_size)
 
 
@@ -85,7 +85,7 @@ def coherence_kick(state: "SimState", r_a: float, p_coh: float, theta_a: float) 
             f"[{theta_a}, {1.0 - theta_a}]"
         )
     target = target_activity(r_a)
-    selected = state.rng.random(state.n_molecules) < p_coh
+    selected = state.rng.below(state.n_molecules, p_coh)
     return state.flip((selected & (state.m1 != target)).nonzero()[0])
 
 

@@ -7,13 +7,18 @@ are mostly inactive), a size-biased split (allowed only for mostly
 active clusters), global activity resets at the two extremes of
 aggregation, independent per-molecule activity noise, and optionally a
 population-wide coherence kick driven by the modal cluster (see
-`interplay`).  All randomness flows through one seeded generator held on
-the state, so trajectories replay bit-exactly.  A state is not safe to
-share between threads; parameter sweeps use independent states.
+`interplay`).  All randomness comes from one seeded PCG64 generator
+held on the state.  The step draws through `Draws`, which reads the
+generator's raw 64-bit output in blocks and replays numpy's bounded-integer
+and uniform-float conversions on it, so every value and the generator's
+stream are exactly what direct ``integers``/``random`` calls would give,
+and trajectories replay bit-exactly.  A state is not safe to share
+between threads; parameter sweeps use independent states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from typing import Literal, Optional
@@ -24,6 +29,7 @@ from . import interplay
 from .errors import ConfigError
 
 __all__ = [
+    "Draws",
     "NoiseSchedule",
     "SimParams",
     "SimState",
@@ -123,6 +129,131 @@ class SimParams:
         return d
 
 
+DRAW_BLOCK = 1 << 14  # raw 64-bit words fetched from the generator per refill
+_M32 = 0xFFFFFFFF
+_TWO53 = 2.0**53
+_NO_WORDS = np.empty(0, dtype=np.uint64)
+
+
+class Draws:
+    """Draws from a PCG64 ``np.random.Generator``, served from blocks of
+    its raw 64-bit output.
+
+    ``integers(m)`` returns exactly ``int(gen.integers(m))`` and
+    ``below(n, p)`` exactly ``gen.random(n) < p``, and both consume the
+    stream as those calls do, so a run is bit-identical to one that calls
+    the generator directly.  Bounded integers use Lemire's rejection on
+    32-bit halves: a raw word serves its low half first and caches its
+    high half, like PCG64's ``next_uint32``, and the replay keeps that
+    cache from construction on.  ``random()`` is ``(word >> 11) * 2**-53``,
+    so ``random() < p`` is ``word < ceil(p * 2**53) << 11``.
+
+    ``bit_generator`` returns the generator moved to the replay's logical
+    position.  Drawing from it directly desynchronises the replay.
+    """
+
+    __slots__ = ("_gen", "_base", "_block", "_pos", "_has32", "_u32")
+
+    def __init__(self, gen: np.random.Generator) -> None:
+        bg = gen.bit_generator
+        if type(bg) is not np.random.PCG64:
+            raise TypeError(
+                f"Draws replays the PCG64 stream only, got {type(bg).__name__}"
+            )
+        self._gen = gen
+        # The logical position is word _pos of the block drawn from state
+        # _base, plus the cached high half-word.
+        self._base = bg.state
+        self._block = _NO_WORDS
+        self._pos = 0
+        self._has32 = self._base["has_uint32"]
+        self._u32 = self._base["uinteger"]
+
+    @property
+    def bit_generator(self) -> np.random.PCG64:
+        return self._synced().bit_generator
+
+    def clone(self) -> "Draws":
+        """Copy at the same logical position.  The copy shares the
+        read-only block and builds its own generator only when it needs
+        one, so cloning draws nothing."""
+        twin = Draws.__new__(Draws)
+        twin._gen = None
+        twin._base = self._base
+        twin._block = self._block
+        twin._pos = self._pos
+        twin._has32 = self._has32
+        twin._u32 = self._u32
+        return twin
+
+    def _synced(self) -> np.random.Generator:
+        # Move the generator to the logical position.  advance() clears
+        # the half-word cache, so it is written back afterwards.
+        if self._gen is None:
+            self._gen = np.random.Generator(np.random.PCG64())
+        bg = self._gen.bit_generator
+        bg.state = self._base
+        bg.advance(self._pos)
+        state = bg.state
+        state["has_uint32"] = self._has32
+        state["uinteger"] = self._u32
+        bg.state = state
+        return self._gen
+
+    def _refill(self, n: int) -> None:
+        # A new block starting at the logical position; the words left in
+        # the old one are drawn again.
+        bg = self._synced().bit_generator
+        self._base = bg.state
+        block = bg.random_raw(max(DRAW_BLOCK, n))
+        block.flags.writeable = False  # shared with clones
+        self._block = block
+        self._pos = 0
+
+    def _next32(self) -> int:
+        if self._has32:
+            self._has32 = 0
+            return self._u32  # numpy keeps the stale half after use too
+        pos = self._pos
+        if pos == self._block.size:
+            self._refill(1)
+            pos = 0
+        word = self._block.item(pos)
+        self._pos = pos + 1
+        self._has32 = 1
+        self._u32 = word >> 32
+        return word & _M32
+
+    def integers(self, m: int) -> int:
+        """A uniform integer in 0..m-1, for 1 <= m < 2**32; m = 1 draws
+        nothing."""
+        if not 1 < m <= _M32:
+            if m == 1:
+                return 0
+            raise ValueError(f"integer bound {m} outside 1..{_M32}")
+        prod = self._next32() * m
+        if prod & _M32 < m:
+            threshold = (_M32 + 1 - m) % m
+            while prod & _M32 < threshold:
+                prod = self._next32() * m
+        return prod >> 32
+
+    def below(self, n: int, p: float) -> np.ndarray:
+        """n independent events of probability p, as a boolean array;
+        always consumes n words."""
+        pos = self._pos
+        end = pos + n
+        if end > self._block.size:
+            self._refill(n)
+            pos, end = 0, n
+        self._pos = end
+        if p >= 1.0:  # the threshold 2**64 does not fit in a uint64
+            return np.ones(n, dtype=bool)
+        if not p > 0.0:
+            return np.zeros(n, dtype=bool)
+        return self._block[pos:end] < (math.ceil(p * _TWO53) << 11)
+
+
 @dataclass
 class SimState:
     """Mutable simulation state.
@@ -138,9 +269,15 @@ class SimState:
     cluster lookup: ``hist[s]`` is the number of clusters of size s and
     ``act[s]`` the active molecules summed over those clusters.  They are
     built from ``c0``/``c1`` on construction (so ``clone`` rebuilds them)
-    and every mutator in this module keeps them exact.  Activity flags
-    change only through ``flip``, which keeps ``c1`` and ``act`` exact as
-    it goes; code that changes cluster sizes must build a new state.
+    and every mutator in this module keeps them exact.  ``max_size`` is
+    the largest cluster size, so the modal lookup scans ``hist`` only up
+    to it.  Activity flags change only through ``flip``, which keeps
+    ``c1`` and ``act`` exact as it goes; code that changes cluster sizes
+    must build a new state.
+
+    ``rng`` serves every draw of a step through ``integers(m)`` and
+    ``below(n, p)``.  A ``np.random.Generator`` passed in is wrapped in
+    `Draws`; any other object with those methods is kept as it is.
     """
 
     t: int
@@ -149,13 +286,17 @@ class SimState:
     c0: list
     c1: list
     cl: list
-    rng: np.random.Generator
+    rng: Draws
     hist: list = field(init=False)
     act: list = field(init=False)
+    max_size: int = field(init=False)
 
     def __post_init__(self) -> None:
+        if isinstance(self.rng, np.random.Generator):
+            self.rng = Draws(self.rng)
         self.hist = _sum_by_size(self.c0, repeat(1), self.n_molecules)
         self.act = _sum_by_size(self.c0, self.c1, self.n_molecules)
+        self.max_size = max(self.c0, default=0)
 
     @property
     def n_molecules(self) -> int:
@@ -182,9 +323,9 @@ class SimState:
         return int(np.count_nonzero(self.m1))
 
     def clone(self) -> "SimState":
-        """Deep copy that replays identically to the original."""
-        g = np.random.Generator(type(self.rng.bit_generator)())
-        g.bit_generator.state = self.rng.bit_generator.state
+        """Deep copy that replays identically to the original.  The draw
+        source is copied at its logical position (`Draws.clone`), which
+        touches no generator."""
         return SimState(
             t=self.t,
             m0=self.m0.copy(),
@@ -192,7 +333,7 @@ class SimState:
             c0=list(self.c0),
             c1=list(self.c1),
             cl=[list(members) for members in self.cl],
-            rng=g,
+            rng=self.rng.clone(),
         )
 
 
@@ -241,6 +382,7 @@ def _merge_clusters(state: SimState, p: int, q: int) -> None:
     state.cl[p].extend(members_q)
     c0[p] = size_p + size_q
     c1[p] = active_p + active_q
+    state.max_size = max(state.max_size, size_p + size_q)
     del c0[q]
     del c1[q]
     del state.cl[q]
@@ -265,10 +407,10 @@ def attempt_clustering(state: SimState, theta_c: float):
     if cm < 2:
         return None
     rng = state.rng
-    p = int(rng.integers(cm))
-    q = int(rng.integers(cm))
+    p = rng.integers(cm)
+    q = rng.integers(cm)
     while q == p:
-        q = int(rng.integers(cm))
+        q = rng.integers(cm)
     if p > q:
         p, q = q, p
     c0, c1 = state.c0, state.c1
@@ -295,6 +437,12 @@ def _split_cluster(state: SimState, k: int, s: int) -> None:
     hist[size] -= 1
     hist[s] += 1
     hist[size - s] += 1
+    if size == state.max_size:
+        # Both halves are smaller, so the scan stops at the larger one.
+        top = size
+        while not hist[top]:
+            top -= 1
+        state.max_size = top
     act[size] -= active
     act[s] += active - tail_active
     act[size - s] += tail_active
@@ -310,14 +458,14 @@ def attempt_declustering(state: SimState, theta_dec: float):
     uniform over the interior positions.
     """
     rng = state.rng
-    mol = int(rng.integers(state.n_molecules))
+    mol = rng.integers(state.n_molecules)
     k = int(state.m0[mol])
     size = state.c0[k]
     if size < 2:
         return None
     if not (state.c1[k] / size > theta_dec):
         return None
-    s = 1 + int(rng.integers(size - 1))
+    s = 1 + rng.integers(size - 1)
     _split_cluster(state, k, s)
     return (k, s)
 
@@ -346,7 +494,7 @@ def apply_noise(state: SimState, p: float) -> int:
     """
     if p <= 0.0:
         return 0
-    return state.flip((state.rng.random(state.n_molecules) < p).nonzero()[0])
+    return state.flip(state.rng.below(state.n_molecules, p).nonzero()[0])
 
 
 def step(state: SimState, params: SimParams) -> StepReport:
@@ -388,8 +536,8 @@ def audit_consistency(state: SimState) -> list:
     Verifies cluster sizes against membership lists, active counts
     against molecule flags, the molecule-to-cluster index map, that
     every molecule appears exactly once, and the size tables ``hist``/
-    ``act`` against a rebuild from ``c0``/``c1``.  Never mutates the
-    state; an empty list means the invariants hold.
+    ``act`` and ``max_size`` against a rebuild from ``c0``/``c1``.  Never
+    mutates the state; an empty list means the invariants hold.
     """
     out = []
     n = state.n_molecules
@@ -451,6 +599,9 @@ def audit_consistency(state: SimState) -> list:
                     f"size table {name}[{size}] = {kept[size]} != "
                     f"rebuild from c0/c1 {fresh[size]}"
                 )
+    largest = max(state.c0, default=0)
+    if state.max_size != largest:
+        out.append(f"max_size {state.max_size} != largest cluster size {largest}")
     missing = np.flatnonzero(seen == 0)
     for mol in missing[:5]:
         out.append(f"molecule {int(mol)} appears in no membership list")

@@ -182,6 +182,21 @@ def test_split_monomer_selected_is_noop():
     assert state.c_max == 2
 
 
+def test_max_size_follows_splits_and_merges():
+    state = make_state([(4, 4), (3, 3), (1, 0)])
+    assert state.max_size == 4
+    state.rng = ScriptedRNG([0, 1])  # the size-4 cluster splits 2 + 2
+    assert attempt_declustering(state, 0.5) == (0, 2)
+    assert (state.c0, state.max_size) == ([2, 3, 1, 2], 3)
+    state.rng = ScriptedRNG([4, 0])  # the size-3 cluster splits 1 + 2
+    assert attempt_declustering(state, 0.5) == (1, 1)
+    assert (state.c0, state.max_size) == ([2, 1, 1, 2, 2], 2)
+    state.rng = ScriptedRNG([0, 3])
+    assert attempt_clustering(state, 1.1) == (0, 3)
+    assert (state.c0, state.max_size) == ([4, 1, 1, 2], 4)
+    assert audit_consistency(state) == []
+
+
 def test_split_selection_is_size_biased():
     """A size-9 cluster against a singleton is the split candidate with
     probability 0.9 (uniform molecule draw)."""
@@ -334,6 +349,9 @@ def test_audit_names_stale_size_tables():
     state.act[2] -= 1
     state.hist[3] = 0
     assert audit_consistency(state) == ["size table hist[3] = 0 != rebuild from c0/c1 1"]
+    state.hist[3] = 1
+    state.max_size = 2
+    assert audit_consistency(state) == ["max_size 2 != largest cluster size 3"]
 
 
 def test_audit_clean_after_long_mixed_run():
