@@ -314,15 +314,15 @@ def run_simulation(params: SimParams, record_every: int = 1) -> tuple:
     cc = np.empty(n_rec, dtype=np.int64)
     ac = np.empty(n_rec, dtype=np.int64)
     tt[0] = 0
-    cc[0] = state.c_max
-    ac[0] = state.active_total()
+    cc[0] = len(state.c0)
+    ac[0] = state.n_active
     k = 1
     for t in range(1, steps + 1):
         step(state, params)
         if t % record_every == 0:
             tt[k] = t
-            cc[k] = state.c_max
-            ac[k] = state.active_total()
+            cc[k] = len(state.c0)
+            ac[k] = state.n_active
             k += 1
     violations = audit_consistency(state)
     if violations:

@@ -12,8 +12,7 @@ is below one half, inactive otherwise.  Pure representatives (fraction
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .sim_core import SimParams, SimState
@@ -28,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InterplayOutcome:
+class InterplayOutcome(NamedTuple):
     """One interplay evaluation: the modal size, its representative, the
     activity ratio fed to the kick, whether the kick fired, and how many
     flags actually changed."""
@@ -54,10 +52,9 @@ def modal_cluster(state: "SimState") -> tuple:
 
 def active_ratio(state: "SimState", cluster: int) -> float:
     """Active fraction of one cluster, in [0, 1]."""
-    if not 0 <= cluster < state.c_max:
-        raise ValueError(
-            f"cluster index {cluster} outside 0..{state.c_max - 1}"
-        )
+    c_max = len(state.c0)
+    if not 0 <= cluster < c_max:
+        raise ValueError(f"cluster index {cluster} outside 0..{c_max - 1}")
     return state.c1[cluster] / state.c0[cluster]
 
 
@@ -85,8 +82,8 @@ def coherence_kick(state: "SimState", r_a: float, p_coh: float, theta_a: float) 
             f"[{theta_a}, {1.0 - theta_a}]"
         )
     target = target_activity(r_a)
-    selected = state.rng.below(state.n_molecules, p_coh)
-    return state.flip((selected & (state.m1 != target)).nonzero()[0])
+    selected = state.rng.below(state.m0.shape[0], p_coh)
+    return state.flip((selected & (state.m1 != target)).nonzero()[0].tolist())
 
 
 def run_interplay(state: "SimState", params: "SimParams") -> InterplayOutcome:
@@ -105,10 +102,4 @@ def run_interplay(state: "SimState", params: "SimParams") -> InterplayOutcome:
     flips = 0
     if kicked:
         flips = coherence_kick(state, r_a, params.p_coh, params.theta_a)
-    return InterplayOutcome(
-        mode_size=mode_size,
-        representative=representative,
-        r_a=r_a,
-        kicked=kicked,
-        flips=flips,
-    )
+    return InterplayOutcome(mode_size, representative, r_a, kicked, flips)

@@ -12,16 +12,20 @@ held on the state.  The step draws through `Draws`, which reads the
 generator's raw 64-bit output in blocks and replays numpy's bounded-integer
 and uniform-float conversions on it, so every value and the generator's
 stream are exactly what direct ``integers``/``random`` calls would give,
-and trajectories replay bit-exactly.  A state is not safe to share
-between threads; parameter sweeps use independent states.
+and trajectories replay bit-exactly.  A row of per-molecule events comes
+either as a dense boolean mask (``below``, the kick) or as the sparse
+list of its hit indices (``hits``, the noise); both are bit-exact.  A
+state is not safe to share between threads; parameter sweeps use
+independent states.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from itertools import repeat
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 import numpy as np
 
@@ -142,17 +146,20 @@ class Draws:
     ``integers(m)`` returns exactly ``int(gen.integers(m))`` and
     ``below(n, p)`` exactly ``gen.random(n) < p``, and both consume the
     stream as those calls do, so a run is bit-identical to one that calls
-    the generator directly.  Bounded integers use Lemire's rejection on
-    32-bit halves: a raw word serves its low half first and caches its
-    high half, like PCG64's ``next_uint32``, and the replay keeps that
-    cache from construction on.  ``random()`` is ``(word >> 11) * 2**-53``,
-    so ``random() < p`` is ``word < ceil(p * 2**53) << 11``.
+    the generator directly.  ``hits(n, p)`` is the sparse form of
+    ``below``: the indices of its True entries as a list, from the same
+    n words.  Bounded integers use Lemire's rejection on 32-bit halves: a
+    raw word serves its low half first and caches its high half, like
+    PCG64's ``next_uint32``, and the replay keeps that cache from
+    construction on.  ``random()`` is ``(word >> 11) * 2**-53``, so
+    ``random() < p`` is ``word < ceil(p * 2**53) << 11``.
 
     ``bit_generator`` returns the generator moved to the replay's logical
     position.  Drawing from it directly desynchronises the replay.
     """
 
-    __slots__ = ("_gen", "_base", "_block", "_pos", "_has32", "_u32")
+    __slots__ = ("_gen", "_base", "_block", "_pos", "_has32", "_u32",
+                 "_last_p", "_hit_p", "_hits")
 
     def __init__(self, gen: np.random.Generator) -> None:
         bg = gen.bit_generator
@@ -168,6 +175,7 @@ class Draws:
         self._pos = 0
         self._has32 = self._base["has_uint32"]
         self._u32 = self._base["uinteger"]
+        self._forget_hits()
 
     @property
     def bit_generator(self) -> np.random.PCG64:
@@ -175,15 +183,12 @@ class Draws:
 
     def clone(self) -> "Draws":
         """Copy at the same logical position.  The copy shares the
-        read-only block and builds its own generator only when it needs
-        one, so cloning draws nothing."""
+        read-only block and hit list and builds its own generator only
+        when it needs one, so cloning draws nothing."""
         twin = Draws.__new__(Draws)
         twin._gen = None
-        twin._base = self._base
-        twin._block = self._block
-        twin._pos = self._pos
-        twin._has32 = self._has32
-        twin._u32 = self._u32
+        for name in Draws.__slots__[1:]:  # every slot but _gen
+            setattr(twin, name, getattr(self, name))
         return twin
 
     def _synced(self) -> np.random.Generator:
@@ -200,6 +205,12 @@ class Draws:
         bg.state = state
         return self._gen
 
+    def _forget_hits(self) -> None:
+        # _hits lists every index of the current block whose word is below
+        # the threshold of probability _hit_p; _last_p is the p of the last
+        # ``hits`` call served from this block.
+        self._last_p = self._hit_p = self._hits = None
+
     def _refill(self, n: int) -> None:
         # A new block starting at the logical position; the words left in
         # the old one are drawn again.
@@ -209,6 +220,16 @@ class Draws:
         block.flags.writeable = False  # shared with clones
         self._block = block
         self._pos = 0
+        self._forget_hits()
+
+    def _take(self, n: int) -> int:
+        # Block offset of the next n words, which are then consumed.
+        pos = self._pos
+        if pos + n > self._block.size:
+            self._refill(n)
+            pos = 0
+        self._pos = pos + n
+        return pos
 
     def _next32(self) -> int:
         if self._has32:
@@ -241,17 +262,42 @@ class Draws:
     def below(self, n: int, p: float) -> np.ndarray:
         """n independent events of probability p, as a boolean array;
         always consumes n words."""
-        pos = self._pos
-        end = pos + n
-        if end > self._block.size:
-            self._refill(n)
-            pos, end = 0, n
-        self._pos = end
+        pos = self._take(n)
         if p >= 1.0:  # the threshold 2**64 does not fit in a uint64
             return np.ones(n, dtype=bool)
         if not p > 0.0:
             return np.zeros(n, dtype=bool)
-        return self._block[pos:end] < (math.ceil(p * _TWO53) << 11)
+        return self._block[pos:pos + n] < _word_threshold(p)
+
+    def hits(self, n: int, p: float) -> list:
+        """The indices at which ``below(n, p)`` would be True, ascending;
+        consumes the same n words.
+
+        The second call in a row at the same p compares the whole block
+        once and keeps its hit list, so later calls at that p slice the
+        list instead of comparing words.  A refill drops the list;
+        ``below`` calls in between leave it alone.
+        """
+        pos = self._take(n)
+        end = pos + n
+        if p >= 1.0:
+            return list(range(n))
+        if not p > 0.0:
+            return []
+        if p != self._hit_p:
+            if p != self._last_p:
+                self._last_p = p
+                return (self._block[pos:end] < _word_threshold(p)).nonzero()[0].tolist()
+            self._hit_p = p
+            self._hits = (self._block < _word_threshold(p)).nonzero()[0].tolist()
+        found = self._hits
+        lo = bisect_left(found, pos)
+        return [i - pos for i in found[lo:bisect_left(found, end, lo)]]
+
+
+def _word_threshold(p: float) -> int:
+    # random() < p exactly when the raw word is below this, for 0 < p < 1.
+    return math.ceil(p * _TWO53) << 11
 
 
 @dataclass
@@ -272,12 +318,16 @@ class SimState:
     and every mutator in this module keeps them exact.  ``max_size`` is
     the largest cluster size, so the modal lookup scans ``hist`` only up
     to it.  Activity flags change only through ``flip``, which keeps
-    ``c1`` and ``act`` exact as it goes; code that changes cluster sizes
-    must build a new state.
+    ``c1``, ``act`` and ``n_active``, the running count of active
+    molecules, exact as it goes; code that changes cluster sizes must
+    build a new state.  ``m0`` and ``m1`` are changed in place and never
+    rebound, because ``flip`` walks them through memoryviews taken on
+    construction.
 
-    ``rng`` serves every draw of a step through ``integers(m)`` and
-    ``below(n, p)``.  A ``np.random.Generator`` passed in is wrapped in
-    `Draws`; any other object with those methods is kept as it is.
+    ``rng`` serves the step's draws: ``integers(m)`` for the merge and
+    split, ``hits(n, p)`` for the noise and ``below(n, p)`` for the kick.
+    A ``np.random.Generator`` passed in is wrapped in `Draws`; any other
+    object is kept as it is and needs only the methods its phases call.
     """
 
     t: int
@@ -290,6 +340,9 @@ class SimState:
     hist: list = field(init=False)
     act: list = field(init=False)
     max_size: int = field(init=False)
+    n_active: int = field(init=False)
+    _clusters: memoryview = field(init=False, repr=False, compare=False)
+    _flags: memoryview = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.rng, np.random.Generator):
@@ -297,6 +350,9 @@ class SimState:
         self.hist = _sum_by_size(self.c0, repeat(1), self.n_molecules)
         self.act = _sum_by_size(self.c0, self.c1, self.n_molecules)
         self.max_size = max(self.c0, default=0)
+        self.n_active = int(np.count_nonzero(self.m1))
+        self._clusters = memoryview(self.m0)
+        self._flags = memoryview(self.m1)
 
     @property
     def n_molecules(self) -> int:
@@ -306,21 +362,30 @@ class SimState:
     def c_max(self) -> int:
         return len(self.c0)
 
-    def flip(self, idx: np.ndarray) -> int:
-        """Toggle the activity of the distinct molecules ``idx``; each
-        flip moves its cluster's active count and the ``act`` table by
-        one.  Returns the number of flips."""
-        if idx.size:
-            m1, c0, c1, act = self.m1, self.c0, self.c1, self.act
-            m1[idx] ^= 1
-            for k, bit in zip(self.m0[idx].tolist(), m1[idx].tolist()):
-                delta = 1 if bit else -1
-                c1[k] += delta
-                act[c0[k]] += delta
-        return int(idx.size)
+    def flip(self, idx: list) -> int:
+        """Toggle the activity of the distinct molecules ``idx``, a list of
+        indices; each flip moves its cluster's active count, the ``act``
+        table and ``n_active`` by one.  Returns the number of flips."""
+        clusters, flags = self._clusters, self._flags
+        c0, c1, act = self.c0, self.c1, self.act
+        n_active = self.n_active
+        for i in idx:
+            k = clusters[i]
+            if flags[i]:
+                flags[i] = 0
+                c1[k] -= 1
+                act[c0[k]] -= 1
+                n_active -= 1
+            else:
+                flags[i] = 1
+                c1[k] += 1
+                act[c0[k]] += 1
+                n_active += 1
+        self.n_active = n_active
+        return len(idx)
 
     def active_total(self) -> int:
-        return int(np.count_nonzero(self.m1))
+        return self.n_active
 
     def clone(self) -> "SimState":
         """Deep copy that replays identically to the original.  The draw
@@ -337,8 +402,7 @@ class SimState:
         )
 
 
-@dataclass(frozen=True)
-class StepReport:
+class StepReport(NamedTuple):
     """What one step did: merged pair, split (cluster, cut point), which
     boundary rule fired, and how many activity bits noise and the
     coherence kick changed."""
@@ -403,7 +467,7 @@ def attempt_clustering(state: SimState, theta_c: float):
     active fraction strictly below ``theta_c``; a failed draw is not
     retried within the step.  With a single cluster nothing is drawn.
     """
-    cm = state.c_max
+    cm = len(state.c0)
     if cm < 2:
         return None
     rng = state.rng
@@ -458,7 +522,7 @@ def attempt_declustering(state: SimState, theta_dec: float):
     uniform over the interior positions.
     """
     rng = state.rng
-    mol = rng.integers(state.n_molecules)
+    mol = rng.integers(state.m0.shape[0])
     k = int(state.m0[mol])
     size = state.c0[k]
     if size < 2:
@@ -477,24 +541,25 @@ def apply_boundary_rules(state: SimState) -> str:
     population; full aggregation (one cluster) activates it.  Anywhere in
     between nothing happens.
     """
-    cm = state.c_max
-    if cm == state.n_molecules:
-        state.flip(state.m1.nonzero()[0])
+    cm = len(state.c0)
+    if cm == state.m0.shape[0]:
+        state.flip(state.m1.nonzero()[0].tolist())
         return "all_inactivated"
     if cm == 1:
-        state.flip((state.m1 == 0).nonzero()[0])
+        state.flip((state.m1 == 0).nonzero()[0].tolist())
         return "all_activated"
     return "none"
 
 
 def apply_noise(state: SimState, p: float) -> int:
     """Flip each molecule's activity independently with probability p,
-    through ``SimState.flip``; returns the number of flips.  With p <= 0
-    no random draws are consumed.
+    through ``SimState.flip``; returns the number of flips.  The flipped
+    molecules come from ``rng.hits``.  With p <= 0 no random draws are
+    consumed.
     """
     if p <= 0.0:
         return 0
-    return state.flip(state.rng.below(state.n_molecules, p).nonzero()[0])
+    return state.flip(state.rng.hits(state.m0.shape[0], p))
 
 
 def step(state: SimState, params: SimParams) -> StepReport:
@@ -520,14 +585,7 @@ def step(state: SimState, params: SimParams) -> StepReport:
         coherence_flips = outcome.flips
         apply_boundary_rules(state)
     state.t += 1
-    return StepReport(
-        t=state.t,
-        merged=merged,
-        split=split,
-        boundary=boundary,
-        noise_flips=noise_flips,
-        coherence_flips=coherence_flips,
-    )
+    return StepReport(state.t, merged, split, boundary, noise_flips, coherence_flips)
 
 
 def audit_consistency(state: SimState) -> list:
@@ -536,8 +594,9 @@ def audit_consistency(state: SimState) -> list:
     Verifies cluster sizes against membership lists, active counts
     against molecule flags, the molecule-to-cluster index map, that
     every molecule appears exactly once, and the size tables ``hist``/
-    ``act`` and ``max_size`` against a rebuild from ``c0``/``c1``.  Never
-    mutates the state; an empty list means the invariants hold.
+    ``act`` and ``max_size`` against a rebuild from ``c0``/``c1``, and the
+    running ``n_active`` against the flags.  Never mutates the state; an
+    empty list means the invariants hold.
     """
     out = []
     n = state.n_molecules
@@ -599,6 +658,9 @@ def audit_consistency(state: SimState) -> list:
                     f"size table {name}[{size}] = {kept[size]} != "
                     f"rebuild from c0/c1 {fresh[size]}"
                 )
+    flagged = int(np.count_nonzero(state.m1))
+    if state.n_active != flagged:
+        out.append(f"n_active {state.n_active} != active flags {flagged}")
     largest = max(state.c0, default=0)
     if state.max_size != largest:
         out.append(f"max_size {state.max_size} != largest cluster size {largest}")

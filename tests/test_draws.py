@@ -4,7 +4,10 @@
 blocks of PCG64's raw output.  Each example below drives it and a plain
 `np.random.default_rng(seed)` through the same random sequence of
 operations, cloning both sides along the way, and requires equal values
-and an equal generator state after every operation.
+and an equal generator state after every operation.  ``hits`` is checked
+against the nonzero indices of the reference's uniforms; its hit-list
+cache is exercised by repeated probabilities, other draws in between,
+refills and clones.
 """
 
 import numpy as np
@@ -23,12 +26,15 @@ PROBABILITIES = st.sampled_from([0.0, 5e-324, 1e-6, 0.5, 1.0 - 2.0**-53, 1.0])
 # it, or one ulp above it, so the threshold is tested where it flips.
 EDGES = st.tuples(st.integers(0, 299), st.sampled_from([-1.0, 0.0, 1.0]))
 WIDTHS = st.one_of(st.integers(1, 300), st.integers(DRAW_BLOCK - 300, 2 * DRAW_BLOCK + 300))
+# Consecutive rows at one p, as a run of noise steps draws them.
+ROWS = st.lists(WIDTHS, min_size=1, max_size=4)
 PICK = st.integers(0, 7)  # which of the live (replay, reference) pairs acts
 
 OPERATIONS = st.lists(
     st.one_of(
         st.tuples(st.just("integers"), PICK, BOUNDS),
-        st.tuples(st.just("below"), PICK, WIDTHS, st.one_of(PROBABILITIES, EDGES)),
+        st.tuples(st.sampled_from(["below", "hits"]), PICK, ROWS,
+                  st.one_of(PROBABILITIES, EDGES)),
         st.tuples(st.just("state"), PICK),
         st.tuples(st.just("clone"), PICK),
     ),
@@ -51,10 +57,17 @@ def logical_state(draws):
 @given(seed=st.integers(0, 2**64 - 1), predraws=st.integers(0, 3), ops=OPERATIONS)
 @example(seed=0, predraws=1, ops=[("state", 0)])
 @example(seed=1, predraws=1, ops=[("clone", 0), ("state", 1), ("integers", 1, 7)])
-@example(seed=2, predraws=0, ops=[("below", 0, DRAW_BLOCK - 1, 0.5), ("integers", 0, 5),
-                                  ("integers", 0, 5), ("below", 0, 2, 0.5)])
-@example(seed=3, predraws=0, ops=[("below", 0, 300, 5e-324), ("below", 0, 300, 1e-6)])
-@example(seed=4, predraws=0, ops=[("below", 0, 8, (3, 1.0)), ("below", 0, 8, (3, 0.0))])
+@example(seed=2, predraws=0, ops=[("below", 0, [DRAW_BLOCK - 1], 0.5), ("integers", 0, 5),
+                                  ("integers", 0, 5), ("below", 0, [2], 0.5)])
+@example(seed=3, predraws=0, ops=[("below", 0, [300], 5e-324), ("below", 0, [300], 1e-6)])
+@example(seed=4, predraws=0, ops=[("below", 0, [8], (3, 1.0)), ("below", 0, [8], (3, 0.0))])
+# The hit list built at 0.5 must not serve 1e-6, a refilled block or a
+# clone's diverging position, and its block indices must be shifted.
+@example(seed=5, predraws=0, ops=[
+    ("hits", 0, [200, 200], 0.5), ("below", 0, [200], 1e-6), ("hits", 0, [200], 0.5),
+    ("clone", 0), ("hits", 1, [300], 0.5), ("hits", 0, [200], 0.5), ("hits", 0, [200], 1e-6),
+    ("hits", 0, [DRAW_BLOCK, 200], 0.5), ("hits", 1, [2 * DRAW_BLOCK + 7, 200], 0.5),
+    ("hits", 0, [200], 0.5)])
 @settings(max_examples=300, deadline=None)
 def test_draws_match_numpy(seed, predraws, ops):
     gen = np.random.default_rng(seed)
@@ -68,16 +81,21 @@ def test_draws_match_numpy(seed, predraws, ops):
         if op == "integers":
             (m,) = args
             assert draws.integers(m) == int(ref.integers(m))
-        elif op == "below":
-            n, p = args
+        elif op in ("below", "hits"):
+            widths, p = args
             if isinstance(p, tuple):
                 k, side = p
                 u = copy_generator(ref).random(k + 1)[k]
                 p = float(np.nextafter(u, u + side) if side else u)
-                n = max(n, k + 1)
-            got = draws.below(n, p)
-            assert got.dtype == bool
-            assert np.array_equal(got, ref.random(n) < p)
+                widths = [max(widths[0], k + 1), *widths[1:]]
+            for n in widths:
+                expected = ref.random(n) < p
+                if op == "below":
+                    got = draws.below(n, p)
+                    assert got.dtype == bool
+                    assert np.array_equal(got, expected)
+                else:
+                    assert draws.hits(n, p) == np.flatnonzero(expected).tolist()
         elif op == "state":
             assert draws.bit_generator.state == ref.bit_generator.state
         else:

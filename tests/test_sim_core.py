@@ -352,6 +352,9 @@ def test_audit_names_stale_size_tables():
     state.hist[3] = 1
     state.max_size = 2
     assert audit_consistency(state) == ["max_size 2 != largest cluster size 3"]
+    state.max_size = 3
+    state.n_active += 1
+    assert audit_consistency(state) == ["n_active 4 != active flags 3"]
 
 
 def test_audit_clean_after_long_mixed_run():
@@ -370,15 +373,18 @@ def test_audit_clean_after_long_mixed_run():
 def test_flip_keeps_counts_exact_and_undoes_itself():
     state = make_state([(4, 2), (1, 1), (3, 0), (1, 0), (4, 4)])
     before = state.clone()
-    idx = np.array([0, 3, 4, 6, 7, 8, 9, 12])  # both flags, sizes 1, 3 and 4
-    assert state.flip(idx) == idx.size
+    idx = [0, 3, 4, 6, 7, 8, 9, 12]  # both flags, sizes 1, 3 and 4
+    assert state.flip(idx) == len(idx)
+    assert state.active_total() == np.count_nonzero(state.m1) == 7
     assert state.m1[idx].tolist() == [0, 1, 0, 1, 1, 1, 0, 0]
     c1 = np.bincount(state.m0[state.m1 != 0], minlength=state.c_max).tolist()
     act = [sum(a for s, a in zip(state.c0, c1) if s == size)
            for size in range(state.n_molecules + 1)]
     assert (state.c1, state.act) == (c1, act)
     assert audit_consistency(state) == []
-    assert state.flip(idx) == idx.size
+    for part, total in ((idx[:3], 8), (idx[:3], 7), (idx, 7)):
+        assert state.flip(part) == len(part)
+        assert state.active_total() == np.count_nonzero(state.m1) == total
     assert np.array_equal(state.m1, before.m1)
     assert (state.c1, state.act) == (before.c1, before.act)
 
