@@ -72,9 +72,11 @@ def coherence_kick(state: "SimState", r_a: float, p_coh: float, theta_a: float) 
 
     The caller must have verified that ``r_a`` lies inside the mixed band
     [theta_a, 1 - theta_a]; out-of-band values raise without mutating the
-    state.  The selected molecules not already at the target flip
-    through ``SimState.flip``, which keeps the cluster active counts
-    exact; returns the number of flips.
+    state.  Every selected molecule ends at the target, so the kick
+    settles the whole population there (``SimState.settle``) except the
+    unselected molecules that hold the other value, a handful at
+    p_coh = 0.95; ``settle`` keeps the cluster active counts exact.
+    Returns the number of flags changed.
     """
     if not theta_a <= r_a <= 1.0 - theta_a:
         raise ValueError(
@@ -83,7 +85,7 @@ def coherence_kick(state: "SimState", r_a: float, p_coh: float, theta_a: float) 
         )
     target = target_activity(r_a)
     selected = state.rng.below(state.m0.shape[0], p_coh)
-    return state.flip((selected & (state.m1 != target)).nonzero()[0].tolist())
+    return state.settle(target, (~selected & (state.m1 != target)).nonzero()[0].tolist())
 
 
 def run_interplay(state: "SimState", params: "SimParams") -> InterplayOutcome:

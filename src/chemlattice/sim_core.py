@@ -25,6 +25,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from itertools import repeat
+from operator import mul
 from typing import Literal, NamedTuple, Optional
 
 import numpy as np
@@ -235,12 +236,8 @@ class Draws:
         if self._has32:
             self._has32 = 0
             return self._u32  # numpy keeps the stale half after use too
-        pos = self._pos
-        if pos == self._block.size:
-            self._refill(1)
-            pos = 0
+        pos = self._take(1)  # may refill, so read the block after it
         word = self._block.item(pos)
-        self._pos = pos + 1
         self._has32 = 1
         self._u32 = word >> 32
         return word & _M32
@@ -252,7 +249,21 @@ class Draws:
             if m == 1:
                 return 0
             raise ValueError(f"integer bound {m} outside 1..{_M32}")
-        prod = self._next32() * m
+        # The first half-word inline, as in _next32; only a rejection,
+        # with probability below m / 2**32, calls it.
+        if self._has32:
+            self._has32 = 0
+            prod = self._u32 * m
+        else:
+            pos = self._pos
+            if pos == self._block.size:
+                self._refill(1)
+                pos = 0
+            word = self._block.item(pos)
+            self._pos = pos + 1
+            self._has32 = 1
+            self._u32 = word >> 32
+            prod = (word & _M32) * m
         if prod & _M32 < m:
             threshold = (_M32 + 1 - m) % m
             while prod & _M32 < threshold:
@@ -278,8 +289,12 @@ class Draws:
         list instead of comparing words.  A refill drops the list;
         ``below`` calls in between leave it alone.
         """
-        pos = self._take(n)
+        pos = self._pos  # _take(n), inline
         end = pos + n
+        if end > self._block.size:
+            self._refill(n)
+            pos, end = 0, n
+        self._pos = end
         if p >= 1.0:
             return list(range(n))
         if not p > 0.0:
@@ -317,12 +332,13 @@ class SimState:
     built from ``c0``/``c1`` on construction (so ``clone`` rebuilds them)
     and every mutator in this module keeps them exact.  ``max_size`` is
     the largest cluster size, so the modal lookup scans ``hist`` only up
-    to it.  Activity flags change only through ``flip``, which keeps
-    ``c1``, ``act`` and ``n_active``, the running count of active
-    molecules, exact as it goes; code that changes cluster sizes must
-    build a new state.  ``m0`` and ``m1`` are changed in place and never
-    rebound, because ``flip`` walks them through memoryviews taken on
-    construction.
+    to it.  Activity flags change only through ``flip`` (sparse: each
+    listed molecule toggles) or ``settle`` (the whole population to one
+    value, with listed exceptions); both keep ``c1``, ``act`` and
+    ``n_active``, the running count of active molecules, exact.  Code
+    that changes cluster sizes must build a new state.  ``m0`` and ``m1``
+    are changed in place and never rebound, because the mutators walk
+    them through memoryviews taken on construction.
 
     ``rng`` serves the step's draws: ``integers(m)`` for the merge and
     split, ``hits(n, p)`` for the noise and ``below(n, p)`` for the kick.
@@ -384,6 +400,35 @@ class SimState:
         self.n_active = n_active
         return len(idx)
 
+    def settle(self, value: int, keep: list) -> int:
+        """Set every activity flag to ``value`` (0 or 1) except those of
+        ``keep``, a list of distinct molecules that already hold the other
+        value.  ``c1`` and ``act`` are rebuilt for the uniform population
+        and then moved by one per kept molecule, so the cost grows with
+        the number of clusters and ``len(keep)``, not with the number of
+        flags changed.  Returns that number."""
+        n = self.m0.shape[0]
+        at_value = self.n_active if value else n - self.n_active
+        c0, c1, act = self.c0, self.c1, self.act
+        top = self.max_size + 1  # act is 0 above the largest size
+        self.m1.fill(value)  # in place: _flags stays a view of m1
+        if value:
+            c1[:] = c0
+            act[:top] = map(mul, range(top), self.hist)
+        else:
+            c1[:] = [0] * len(c0)
+            act[:top] = [0] * top
+        other = 1 - value
+        delta = other - value
+        clusters, flags = self._clusters, self._flags
+        for i in keep:
+            k = clusters[i]
+            flags[i] = other
+            c1[k] += delta
+            act[c0[k]] += delta
+        self.n_active = len(keep) if other else n - len(keep)
+        return n - len(keep) - at_value
+
     def active_total(self) -> int:
         return self.n_active
 
@@ -442,7 +487,9 @@ def _merge_clusters(state: SimState, p: int, q: int) -> None:
     c0, c1, hist, act = state.c0, state.c1, state.hist, state.act
     size_p, size_q, active_p, active_q = c0[p], c0[q], c1[p], c1[q]
     members_q = state.cl[q]
-    state.m0[members_q] = p
+    clusters = state._clusters
+    for i in members_q:
+        clusters[i] = p
     state.cl[p].extend(members_q)
     c0[p] = size_p + size_q
     c1[p] = active_p + active_q
@@ -450,7 +497,8 @@ def _merge_clusters(state: SimState, p: int, q: int) -> None:
     del c0[q]
     del c1[q]
     del state.cl[q]
-    state.m0[state.m0 > q] -= 1
+    m0 = state.m0
+    m0 -= m0 > q
     hist[size_p] -= 1
     hist[size_q] -= 1
     hist[size_p + size_q] += 1
@@ -491,8 +539,10 @@ def _split_cluster(state: SimState, k: int, s: int) -> None:
     members = state.cl[k]
     tail = members[s:]
     del members[s:]
-    tail_active = int(state.m1[tail].sum())
-    state.m0[tail] = len(c0)
+    tail_active = sum(map(state._flags.__getitem__, tail))
+    clusters, new = state._clusters, len(c0)
+    for i in tail:
+        clusters[i] = new
     state.cl.append(tail)
     c0[k] = s
     c0.append(size - s)
@@ -523,7 +573,7 @@ def attempt_declustering(state: SimState, theta_dec: float):
     """
     rng = state.rng
     mol = rng.integers(state.m0.shape[0])
-    k = int(state.m0[mol])
+    k = state._clusters[mol]
     size = state.c0[k]
     if size < 2:
         return None
@@ -538,15 +588,16 @@ def apply_boundary_rules(state: SimState) -> str:
     """Global resets at the extremes of aggregation.
 
     Full fragmentation (every molecule a singleton) inactivates the whole
-    population; full aggregation (one cluster) activates it.  Anywhere in
-    between nothing happens.
+    population; full aggregation (one cluster) activates it, each through
+    ``SimState.settle`` with no exceptions.  Anywhere in between nothing
+    happens.
     """
     cm = len(state.c0)
     if cm == state.m0.shape[0]:
-        state.flip(state.m1.nonzero()[0].tolist())
+        state.settle(0, [])
         return "all_inactivated"
     if cm == 1:
-        state.flip((state.m1 == 0).nonzero()[0].tolist())
+        state.settle(1, [])
         return "all_activated"
     return "none"
 

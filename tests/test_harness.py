@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 
+from chemlattice import harness, interplay, sim_core
 from chemlattice import lattice as lattice_module
 from chemlattice.errors import ConfigError
 from chemlattice.harness import (
@@ -266,6 +267,45 @@ def test_run_simulation_noise_trace_follows_the_ramp():
     assert list(series.t) == [0, 25, 50, 75, 100]
     assert series.noise_trace[1] == 0.0
     assert series.noise_trace[3] == pytest.approx(25e-4)
+
+
+def test_step_phases_stay_separate_calls(monkeypatch):
+    # The bench tracer times and counts these names by wrapping them where
+    # they are looked up; a loop that fused them would leave its per-layer
+    # metrics at zero.
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(harness, "step")
+    for name in ("attempt_clustering", "attempt_declustering",
+                 "apply_boundary_rules", "apply_noise"):
+        count(sim_core, name)
+    count(interplay, "run_interplay")
+    params = SimParams(
+        noise_schedule=NoiseSchedule(kind="constant", p0=0.05),
+        interplay_enabled=True,
+        pooled_modal_ratio=True,
+        max_steps=300,
+        seed=3,
+    )
+    run_simulation(params)
+    assert calls == {
+        "step": 300,
+        "attempt_clustering": 300,
+        "attempt_declustering": 300,
+        # once before the noise and once after the kick
+        "apply_boundary_rules": 600,
+        "apply_noise": 300,
+        "run_interplay": 300,
+    }
 
 
 def _lock_series(cluster, active, n=200):

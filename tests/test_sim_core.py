@@ -215,11 +215,26 @@ def test_split_selection_is_size_biased():
 # ------------------------------------------------------------- boundary
 
 
+def _mixed_flags(state, seed):
+    # Flip about 40% of the molecules through flip, so the state stays consistent.
+    picks = np.random.default_rng(seed).random(state.n_molecules) < 0.4
+    state.flip(picks.nonzero()[0].tolist())
+    assert 0 < state.active_total() < state.n_molecules
+    return state
+
+
 def test_boundary_full_fragmentation_inactivates():
     state = make_state([(1, 1)] * 200)
     assert apply_boundary_rules(state) == "all_inactivated"
     assert state.active_total() == 0
     assert state.c1 == [0] * 200
+    for seed in range(3):
+        state = _mixed_flags(make_state([(1, 0)] * 200), seed)
+        assert apply_boundary_rules(state) == "all_inactivated"
+        assert state.act == [0] * 201
+        assert state.n_active == np.count_nonzero(state.m1) == 0
+        assert state.c1 == [0] * 200
+        assert audit_consistency(state) == []
 
 
 def test_boundary_full_aggregation_activates():
@@ -227,6 +242,13 @@ def test_boundary_full_aggregation_activates():
     assert apply_boundary_rules(state) == "all_activated"
     assert state.active_total() == 200
     assert state.c1 == [200]
+    for seed in range(3):
+        state = _mixed_flags(make_state([(200, 0)]), seed)
+        assert apply_boundary_rules(state) == "all_activated"
+        assert state.act == [0] * 200 + [200]
+        assert state.n_active == np.count_nonzero(state.m1) == 200
+        assert state.c1 == [200]
+        assert audit_consistency(state) == []
 
 
 def test_boundary_inert_in_between():
@@ -390,6 +412,34 @@ def test_flip_keeps_counts_exact_and_undoes_itself():
 
 
 # ----------------------------------------------------------- properties
+
+
+@given(
+    sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_settle_matches_flipping_the_complement(sizes, data):
+    state = make_state([(size, 0) for size in sizes])
+    n = state.n_molecules
+    mixed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    state.flip([i for i in range(n) if mixed[i]])
+    value = data.draw(st.sampled_from([0, 1]))
+    holders = [i for i in range(n) if state.m1[i] != value]
+    keep = data.draw(st.lists(st.sampled_from(holders), unique=True)) if holders else []
+    kept = set(keep)
+    expected = state.clone()
+    flips = expected.flip([i for i in holders if i not in kept])
+    m1 = state.m1
+
+    assert state.settle(value, keep) == flips
+    assert state.m1 is m1
+    assert np.array_equal(state.m1, expected.m1)
+    assert (state.c1, state.act) == (expected.c1, expected.act)
+    assert state.n_active == expected.n_active == np.count_nonzero(state.m1)
+    assert audit_consistency(state) == []
+    state.flip([0])  # the flag view still writes to m1
+    assert state.m1[0] != expected.m1[0]
 
 
 cluster_specs = st.lists(
