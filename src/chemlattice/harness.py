@@ -3,9 +3,11 @@
 A scenario bundles simulation parameters, recording resolution, and
 analysis settings; running one writes a fixed set of artifacts
 (series.csv, summary.json, and for relation scenarios lattice.dot and
-laws.json) plus a manifest with content digests.  Sweeps fan a scenario
-out over noise values with sub-seeds derived from the master seed, so
-the grid can grow without perturbing existing cells.
+laws.json) plus a manifest with content digests.  A --check run then
+writes check.json, every claim gate with its verdict, after the manifest
+and outside its digests.  Sweeps fan a scenario out over noise values
+with sub-seeds derived from the master seed, so the grid can grow
+without perturbing existing cells.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 from dataclasses import MISSING, dataclass, field, replace
-from typing import Literal, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Literal, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -309,21 +312,17 @@ def run_simulation(params: SimParams, record_every: int = 1) -> tuple:
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
     steps = params.max_steps
     state = init_state(params)
-    n_rec = steps // record_every + 1
-    tt = np.empty(n_rec, dtype=np.int64)
-    cc = np.empty(n_rec, dtype=np.int64)
-    ac = np.empty(n_rec, dtype=np.int64)
-    tt[0] = 0
+    tt = np.arange(0, steps + 1, record_every, dtype=np.int64)
+    cc = np.empty(len(tt), dtype=np.int64)
+    ac = np.empty(len(tt), dtype=np.int64)
     cc[0] = len(state.c0)
     ac[0] = state.n_active
-    k = 1
     for t in range(1, steps + 1):
         step(state, params)
         if t % record_every == 0:
-            tt[k] = t
-            cc[k] = len(state.c0)
-            ac[k] = state.n_active
-            k += 1
+            i = t // record_every
+            cc[i] = len(state.c0)
+            ac[i] = state.n_active
     violations = audit_consistency(state)
     if violations:
         raise RuntimeError(
@@ -331,13 +330,13 @@ def run_simulation(params: SimParams, record_every: int = 1) -> tuple:
         )
     schedule = params.noise_schedule
     if schedule.kind == "constant":
-        noise = np.full(k, schedule.p0)
+        noise = np.full(len(tt), schedule.p0)
     else:
-        noise = np.array([noise_at(schedule, t) for t in tt[:k].tolist()])
+        noise = np.array([noise_at(schedule, t) for t in tt.tolist()])
     series = analysis.RunSeries(
-        t=tt[:k],
-        cluster_count=cc[:k],
-        active_count=ac[:k],
+        t=tt,
+        cluster_count=cc,
+        active_count=ac,
         params_snapshot=params,
         noise_trace=noise,
     )
@@ -376,16 +375,20 @@ def _json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _run_artifacts(config: ScenarioConfig, params: SimParams, kind: str) -> tuple:
-    """Simulate and analyze one run; returns (series.csv text, summary)."""
-    series, _ = run_simulation(params, config.record_every)
+def _detect(config: ScenarioConfig, params: SimParams, series: analysis.RunSeries) -> list:
+    """The run's wave events under the scenario's analysis options."""
     opts = config.analysis
     min_amp = opts.min_amplitude
     if min_amp is None:
         min_amp = 0.8 * params.n_molecules
-    events = analysis.detect_events(
-        series, opts.rise_window, opts.fall_window, min_amp
-    )
+    return analysis.detect_events(series, opts.rise_window, opts.fall_window, min_amp)
+
+
+def _run_artifacts(config: ScenarioConfig, params: SimParams, kind: str) -> tuple:
+    """Simulate and analyze one run; returns (series.csv text, summary)."""
+    series, _ = run_simulation(params, config.record_every)
+    opts = config.analysis
+    events = _detect(config, params, series)
     trace = series.active_count if opts.psd_trace == "active" else series.cluster_count
     trace = np.asarray(trace, dtype=np.float64)[opts.burn_in :]
     spectrum = analysis.psd(trace) if len(trace) >= analysis.PSD_MIN_SAMPLES else None
@@ -400,10 +403,12 @@ def _run_artifacts(config: ScenarioConfig, params: SimParams, kind: str) -> tupl
 
 def _write_artifacts(config: ScenarioConfig, out_dir: str, files: dict) -> dict:
     """Write the files, then manifest.json with their digests; returns
-    the manifest.  A failed rewrite leaves no old manifest behind."""
+    the manifest.  A failed rewrite leaves no old manifest behind, and
+    any old check.json goes with it."""
     os.makedirs(out_dir, exist_ok=True)
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(os.path.join(out_dir, "manifest.json"))
+    for stale in ("manifest.json", "check.json"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, stale))
     manifest_files = {}
     for rel_path, text in sorted(files.items()):
         full = os.path.join(out_dir, rel_path)
@@ -584,141 +589,110 @@ def _load_artifact(out_dir: str, name: str):
         return json.load(fh)
 
 
-def _check_fig9a(out_dir: str, failures: list) -> None:
+_OPS = {
+    "==": operator.eq, "<": operator.lt, ">": operator.gt, ">=": operator.ge, "<=": operator.le,
+}
+
+
+class Gate(NamedTuple):
+    """One claim as data: ``value op bound``.  A gate missing its value
+    or its bound fails."""
+
+    name: str
+    value: object
+    op: str
+    bound: object
+
+    @property
+    def ok(self) -> bool:
+        missing = self.value is None or self.bound is None
+        return not missing and bool(_OPS[self.op](self.value, self.bound))
+
+
+def _check_fig9a(config: ScenarioConfig, out_dir: str) -> list:
     series = load_series(out_dir)
     cc, ac = series.cluster_count, series.active_count
-    n = cc.max()
-    if not np.all((ac == 0) | (ac == n)):
-        failures.append("activity left {0, N} in the noise-free run")
-    marks = [(t, "bottom") for t in np.flatnonzero(cc == 1)] + [
-        (t, "top") for t in np.flatnonzero(cc == n)
+    n = cc.max()  # N: every run starts from N >= 2 singletons
+    extremes = cc[(cc == 1) | (cc == n)]
+    return [
+        Gate("samples with activity outside {0, N}",
+             int(np.count_nonzero((ac != 0) & (ac != n))), "==", 0),
+        Gate("repeated cluster-count extremes",
+             int(np.count_nonzero(extremes[1:] == extremes[:-1])), "==", 0),
+        Gate("wave events", _load_artifact(out_dir, "summary.json")["events"]["total"],
+             "==", 0),
     ]
-    marks.sort()
-    kinds = [k for _, k in marks]
-    if any(kinds[i] == kinds[i + 1] for i in range(len(kinds) - 1)):
-        failures.append("cluster count did not alternate between 1 and N")
-    summary = _load_artifact(out_dir, "summary.json")
-    if summary["events"]["total"] != 0:
-        failures.append(
-            f"noise-free run produced {summary['events']['total']} wave events"
-        )
 
 
-def _check_slope(out_dir: str, failures: list) -> None:
-    summary = _load_artifact(out_dir, "summary.json")
-    block = summary.get("psd")
-    if not block:
-        failures.append("summary has no PSD block")
-        return
-    if not -1.35 <= block["slope"] <= -0.65:
-        failures.append(f"PSD slope {block['slope']:.3f} outside [-1.35, -0.65]")
+def _check_slope(config: ScenarioConfig, out_dir: str) -> list:
+    block = _load_artifact(out_dir, "summary.json").get("psd")
+    slope = block["slope"] if block else None
+    return [Gate("psd slope", slope, ">=", -1.35), Gate("psd slope", slope, "<=", -0.65)]
 
 
-def _check_fig9c(out_dir: str, failures: list) -> None:
-    summary = _load_artifact(out_dir, "summary.json")
-    ev = summary["events"]
-    if ev["spike_up"] < 10:
-        failures.append(f"only {ev['spike_up']} upward spikes, need >= 10")
-    if ev["spike_down"] < 10:
-        failures.append(f"only {ev['spike_down']} downward spikes, need >= 10")
+def _check_fig9c(config: ScenarioConfig, out_dir: str) -> list:
+    events = _load_artifact(out_dir, "summary.json")["events"]
+    return [Gate(kind, events[kind], ">=", 10) for kind in ("spike_up", "spike_down")]
 
 
-def _check_fig11(out_dir: str, failures: list) -> None:
-    grid = _load_artifact(out_dir, "grid.json")
-    rows = {row["noise_p"]: row for row in grid["values"]}
-    need = (0.0, 1e-6, 5e-3, 5e-2)
-    missing = [p for p in need if p not in rows]
-    if missing:
-        failures.append(f"grid lacks noise values {missing}")
-        return
-    if rows[0.0]["total_events"] != 0:
-        failures.append(
-            f"{rows[0.0]['total_events']} events at zero noise, expected none"
-        )
-    if rows[1e-6]["lock_in_runs"] * 2 <= rows[1e-6]["n_runs"]:
-        failures.append(
-            f"lock-in in only {rows[1e-6]['lock_in_runs']}/{rows[1e-6]['n_runs']} "
-            "runs at 1e-6"
-        )
-    r = rows[5e-3]
-    if not r["sawtooth"] > r["spike_up"] + r["spike_down"]:
-        failures.append(
-            f"at 5e-3 sawtooth={r['sawtooth']} does not exceed "
-            f"spikes={r['spike_up'] + r['spike_down']}"
-        )
-    r = rows[5e-2]
-    if not r["spike_up"] + r["spike_down"] > r["sawtooth"]:
-        failures.append(
-            f"at 5e-2 spikes={r['spike_up'] + r['spike_down']} do not exceed "
-            f"sawtooth={r['sawtooth']}"
-        )
+def _check_fig11(config: ScenarioConfig, out_dir: str) -> list:
+    rows = {row["noise_p"]: row for row in _load_artifact(out_dir, "grid.json")["values"]}
+
+    def at(p, *keys):
+        return sum(rows[p][k] for k in keys) if p in rows else None
+
+    spikes = ("spike_up", "spike_down")
+    half = at(1e-6, "n_runs")
+    return [
+        Gate("events at 0", at(0.0, "total_events"), "==", 0),
+        Gate("lock-in runs at 1e-6 vs half the runs", at(1e-6, "lock_in_runs"), ">",
+             None if half is None else half / 2),
+        Gate("sawtooth at 5e-3 vs spikes", at(5e-3, "sawtooth"), ">", at(5e-3, *spikes)),
+        Gate("spikes at 5e-2 vs sawtooth", at(5e-2, *spikes), ">", at(5e-2, "sawtooth")),
+    ]
 
 
-def _check_fig12(out_dir: str, failures: list) -> None:
-    summary = _load_artifact(out_dir, "summary.json")
-    onset = summary["params"]["noise_schedule"]["onset_step"]
-    steps = summary["params"]["max_steps"]
-    series = load_series(out_dir)
-    events = analysis.detect_events(
-        series, 25, 25, 0.8 * int(series.active_count.max())
-    )
-    pre_onset = [e for e in events if e.t_peak < onset]
-    if pre_onset:
-        failures.append(f"{len(pre_onset)} events before noise onset")
+def _check_fig12(config: ScenarioConfig, out_dir: str) -> list:
+    params = _effective_params(config)
+    events = _detect(config, params, load_series(out_dir))
     saw = [e.t_peak for e in events if e.kind == "sawtooth"]
     spike = [e.t_peak for e in events if e.kind.startswith("spike")]
-    if not saw:
-        failures.append("no sawtooth events after onset")
-    if not spike:
-        failures.append("no spike events after onset")
-    if saw and spike and not saw[0] < spike[0]:
-        failures.append(
-            f"first sawtooth at t={saw[0]} not before first spike at t={spike[0]}"
-        )
-    tail = [e for e in events if e.t_peak >= 0.75 * steps]
-    tail_spikes = sum(1 for e in tail if e.kind.startswith("spike"))
-    tail_saw = len(tail) - tail_spikes
-    if not (tail_spikes > 0 and tail_spikes > tail_saw):
-        failures.append(
-            f"final quarter not spike-dominant ({tail_spikes} spikes, {tail_saw} sawtooth)"
-        )
-
-
-def _check_fig5_lattice(out_dir: str, failures: list) -> None:
-    laws = _load_artifact(out_dir, "laws.json")
-    summary = _load_artifact(out_dir, "summary.json")
-    if summary["n_elements"] != 30:
-        failures.append(f"{summary['n_elements']} elements, expected 30")
-    if laws["shared"] != ["{}", "{A1,A2,A3,A4,A5,A6,A7,A8}"]:
-        failures.append(f"shared elements {laws['shared']} != [bottom, top]")
-    if laws["distributive"] or not laws["witness"]:
-        failures.append("expected a non-distributivity witness")
-    if not laws["orthomodular"]:
-        failures.append("expected the lattice to be orthomodular")
-
-
-def _check_fig4_lattice(out_dir: str, failures: list) -> None:
-    laws = _load_artifact(out_dir, "laws.json")
-    summary = _load_artifact(out_dir, "summary.json")
-    if summary["n_elements"] != 14:
-        failures.append(f"{summary['n_elements']} elements, expected 14")
-    want_shared = ["{}", "{A3}", "{A1,A2,A4,A5}", "{A1,A2,A3,A4,A5,A6,A7}"]
-    if laws["shared"] != want_shared:
-        failures.append(f"shared elements {laws['shared']} != {want_shared}")
-    rel = relation_from_source("blocks:3,3,2:overlap=3")
-    pairs = [
-        (frozenset({0}), frozenset({0})),
-        (frozenset({2}), frozenset({2})),
-        (frozenset({0, 1}), frozenset({0, 1, 3, 4})),
-        (frozenset({0, 5}), frozenset(range(7))),
+    tail = [e.kind for e in events if e.t_peak >= 0.75 * params.max_steps]
+    tail_spikes = sum(kind.startswith("spike") for kind in tail)
+    onset = params.noise_schedule.onset_step
+    return [
+        Gate("events before onset", sum(e.t_peak < onset for e in events), "==", 0),
+        Gate("sawtooth events", len(saw), ">", 0),
+        Gate("spike events", len(spike), ">", 0),
+        Gate("first sawtooth t vs first spike", saw[0] if saw else None, "<",
+             spike[0] if spike else None),
+        Gate("final-quarter spikes", tail_spikes, ">", 0),
+        Gate("final-quarter spikes vs sawtooth", tail_spikes, ">", len(tail) - tail_spikes),
     ]
-    for x, want in pairs:
-        got = lattice.closure(rel, x)
-        if got != want:
-            failures.append(
-                f"closure({lattice.format_subset(x)}) = {lattice.format_subset(got)}"
-                f" != {lattice.format_subset(want)}"
-            )
+
+
+def _lattice_checker(elements: int, shared: list, laws: dict, closures=()):
+    """Gates on the element count, the shared elements, laws.json flags
+    (``witness`` reads whether a distributivity witness is present) and
+    closures in the scenario's relation."""
+
+    def check(config: ScenarioConfig, out_dir: str) -> list:
+        found = _load_artifact(out_dir, "laws.json")
+        gates = [
+            Gate("elements", _load_artifact(out_dir, "summary.json")["n_elements"],
+                 "==", elements),
+            Gate("shared elements", found["shared"], "==", shared),
+        ]
+        gates += [Gate(key, bool(found[key]), "==", want) for key, want in laws.items()]
+        rel = relation_from_source(config.relation_source)
+        fmt = lattice.format_subset
+        gates += [
+            Gate(f"closure {fmt(x)}", fmt(lattice.closure(rel, x)), "==", fmt(want))
+            for x, want in closures
+        ]
+        return gates
+
+    return check
 
 
 _CHECKS = {
@@ -728,24 +702,37 @@ _CHECKS = {
     "fig10": _check_slope,
     "fig11": _check_fig11,
     "fig12": _check_fig12,
-    "fig5-lattice": _check_fig5_lattice,
-    "fig4-lattice": _check_fig4_lattice,
+    "fig5-lattice": _lattice_checker(
+        30, ["{}", "{A1,A2,A3,A4,A5,A6,A7,A8}"],
+        {"distributive": False, "witness": True, "orthomodular": True},
+    ),
+    "fig4-lattice": _lattice_checker(
+        14, ["{}", "{A3}", "{A1,A2,A4,A5}", "{A1,A2,A3,A4,A5,A6,A7}"], {},
+        closures=[({0}, {0}), ({2}, {2}), ({0, 1}, {0, 1, 3, 4}), ({0, 5}, set(range(7)))],
+    ),
 }
 
 
-def run_checks(name: str, out_dir: str) -> None:
-    """Scenario-specific claims; raises CheckFailure listing violations."""
-    checker = _CHECKS.get(name)
+def run_checks(config: ScenarioConfig, out_dir: str) -> None:
+    """Evaluate the scenario's claim gates, print each failing one, and
+    write check.json (outside the manifest); raises CheckFailure when a
+    gate fails."""
+    checker = _CHECKS.get(config.name)
     if checker is None:
-        print(f"check {name}: no scenario-specific checks defined")
+        print(f"check {config.name}: no scenario-specific checks defined")
         return
-    failures: list = []
-    checker(out_dir, failures)
+    gates = checker(config, out_dir)
+    failures = [f"{g.name} = {json.dumps(g.value)}, need {g.op} {json.dumps(g.bound)}"
+                for g in gates if not g.ok]
+    record = {"scenario": config.name, "passed": not failures,
+              "gates": [{**g._asdict(), "ok": g.ok} for g in gates]}
+    with open(os.path.join(out_dir, "check.json"), "w", encoding="utf-8") as fh:
+        fh.write(_json_text(record))
+    for f in failures:
+        print(f"check {config.name}: FAIL {f}")
     if failures:
-        for f in failures:
-            print(f"check {name}: FAIL {f}")
         raise CheckFailure(failures)
-    print(f"check {name}: ok")
+    print(f"check {config.name}: ok")
 
 
 # Scenario kinds each subcommand accepts.
@@ -858,7 +845,7 @@ def main(argv: Optional[list] = None) -> int:
             print(f"wrote {os.path.join(out_dir, rel_path)}")
         print(f"wrote {os.path.join(out_dir, 'manifest.json')}")
         if args.check:
-            run_checks(config.name, out_dir)
+            run_checks(config, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

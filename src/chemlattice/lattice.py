@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -281,11 +282,6 @@ class Lattice:
         self._masks = uniq
         self._index = {m: i for i, m in enumerate(uniq)}
         self._elements = [self._to_set(m) for m in uniq]
-        self._sub = None
-        self._meet_tab = None
-        self._join_tab = None
-        self._ortho = None
-        self._cover = None
 
     @classmethod
     def from_subsets(cls, universe: int, subsets: Iterable[Iterable[int]]) -> "Lattice":
@@ -332,13 +328,13 @@ class Lattice:
                 f"{format_subset(frozenset(subset))} is not a lattice element"
             ) from None
 
+    @cached_property
     def _subset_matrix(self) -> np.ndarray:
-        if self._sub is None:
-            m = np.array(self._masks, dtype=np.int64)
-            self._sub = (m[:, None] & ~m[None, :]) == 0
-        return self._sub
+        m = np.array(self._masks, dtype=np.int64)
+        return (m[:, None] & ~m[None, :]) == 0
 
-    def _tables(self):
+    @cached_property
+    def _tables(self) -> tuple:
         """Dense meet/join index tables, built once, capped in size.
 
         Bounds come from the inclusion order alone: element indices
@@ -349,48 +345,43 @@ class Lattice:
         the common lower bounds), and a greatest lower bound contains
         every other lower bound, so it is the last one.
         """
-        if self._meet_tab is None:
-            n = len(self._masks)
-            if n > LAW_MAX_ELEMENTS:
-                raise CapacityError(
-                    f"pairwise law tables are capped at {LAW_MAX_ELEMENTS} "
-                    f"elements (got {n}); decompose the relation into blocks"
-                )
-            sub = self._subset_matrix()
-            # below[i, r]: element n-1-r lies below i; reversed columns make
-            # the last lower bound the first hit (contiguous: 5x faster rows)
-            below = np.ascontiguousarray(sub.T[:, ::-1])
-            meet_tab = np.empty((n, n), dtype=np.int32)
-            join_tab = np.empty((n, n), dtype=np.int32)
-            for i in range(n):
-                meet_tab[i] = n - 1 - (below[i] & below).argmax(axis=1)
-                up = sub[i] & sub                       # k above i and above j
-                join_tab[i] = up.argmax(axis=1)
-                if (up & ~sub[join_tab[i]]).any():
-                    raise ValueError(_NOT_A_LATTICE)
-            self._meet_tab = meet_tab
-            self._join_tab = join_tab
-        return self._meet_tab, self._join_tab
+        n = len(self._masks)
+        if n > LAW_MAX_ELEMENTS:
+            raise CapacityError(
+                f"pairwise law tables are capped at {LAW_MAX_ELEMENTS} "
+                f"elements (got {n}); decompose the relation into blocks"
+            )
+        sub = self._subset_matrix
+        # below[i, r]: element n-1-r lies below i; reversed columns make
+        # the last lower bound the first hit (contiguous: 5x faster rows)
+        below = np.ascontiguousarray(sub.T[:, ::-1])
+        meet_tab = np.empty((n, n), dtype=np.int32)
+        join_tab = np.empty((n, n), dtype=np.int32)
+        for i in range(n):
+            meet_tab[i] = n - 1 - (below[i] & below).argmax(axis=1)
+            up = sub[i] & sub                       # k above i and above j
+            join_tab[i] = up.argmax(axis=1)
+            if (up & ~sub[join_tab[i]]).any():
+                raise ValueError(_NOT_A_LATTICE)
+        return meet_tab, join_tab
 
+    @cached_property
     def _orthocomplement(self) -> tuple:
-        """(assign, holds), searched once and cached: an involutive
-        order-reversing complement as an index array (None when none
-        exists) and whether it satisfies the orthomodular law.  The
-        law-pruned search runs first; the plain one only if it fails."""
-        if self._ortho is None:
-            assign = _search_orthocomplement(self, enforce_oml=True)
-            holds = assign is not None
-            if not holds:
-                assign = _search_orthocomplement(self, enforce_oml=False)
-            self._ortho = (assign, holds)
-        return self._ortho
+        """(assign, holds), searched once: an involutive order-reversing
+        complement as an index array (None when none exists) and whether
+        it satisfies the orthomodular law.  The law-pruned search runs
+        first; the plain one only if it fails."""
+        assign = _search_orthocomplement(self, enforce_oml=True)
+        holds = assign is not None
+        if not holds:
+            assign = _search_orthocomplement(self, enforce_oml=False)
+        return assign, holds
 
+    @cached_property
     def _cover_pairs(self) -> list:
         """Covering pairs (lower, upper) of element indices in ascending
-        order, scanned once and cached."""
-        if self._cover is None:
-            self._cover = _scan_cover(self)
-        return self._cover
+        order, scanned once."""
+        return _scan_cover(self)
 
 
 def meet_join(lat: Lattice, x: Iterable[int], y: Iterable[int]) -> tuple:
@@ -427,7 +418,7 @@ def _scan_cover(lat: Lattice) -> list:
         raise CapacityError(
             f"Hasse extraction is capped at {HASSE_MAX_ELEMENTS} elements (got {n})"
         )
-    sub = lat._subset_matrix()
+    sub = lat._subset_matrix
     pc = np.array([int(m).bit_count() for m in lat._masks])
     pairs = []
     for x in range(n):
@@ -445,13 +436,13 @@ def hasse_cover(lat: Lattice) -> list:
     """Covering pairs (lower, upper) of the inclusion order, ordered by
     the elements' indices."""
     elements = lat._elements
-    return [(elements[lo], elements[hi]) for lo, hi in lat._cover_pairs()]
+    return [(elements[lo], elements[hi]) for lo, hi in lat._cover_pairs]
 
 
 def find_complements(lat: Lattice, x: Iterable[int]) -> list:
     """Elements whose meet with x is bottom and join with x is top."""
     xi = lat.index_of(x)
-    mt, jt = lat._tables()
+    mt, jt = lat._tables
     n = len(lat)
     hits = np.flatnonzero((mt[xi] == 0) & (jt[xi] == n - 1))
     return [lat._elements[int(i)] for i in hits]
@@ -473,9 +464,9 @@ def check_distributive(lat: Lattice) -> DistributivityReport:
     triple scan run, for the first failing triple (x, y, z) in element
     order as the witness.
     """
-    mt, jt = lat._tables()
-    covers = Counter(hi for _, hi in lat._cover_pairs())
-    ups = lat._subset_matrix()[[j for j, c in covers.items() if c == 1]]
+    mt, jt = lat._tables
+    covers = Counter(hi for _, hi in lat._cover_pairs)
+    ups = lat._subset_matrix[[j for j, c in covers.items() if c == 1]]
     if not any((up[jt] & ~(up[:, None] | up[None, :])).any() for up in ups):
         return DistributivityReport(True, None)
     # Some j <= x ∨ y lies below neither x nor y, so j ∧ x and j ∧ y lie
@@ -545,8 +536,8 @@ def _search_orthocomplement(lat: Lattice, enforce_oml: bool):
     """Backtracking search for an involutive order-reversing complement
     assignment; optionally prunes branches violating the orthomodular
     law as pairs are fixed."""
-    mt, jt = lat._tables()
-    sub = lat._subset_matrix()
+    mt, jt = lat._tables
+    sub = lat._subset_matrix
     n = len(lat)
     comp = (mt == 0) & (jt == n - 1)
     assign = np.full(n, -1, dtype=np.int64)
@@ -574,7 +565,7 @@ def check_orthomodular(lat: Lattice) -> OrthomodularityReport:
     assignment found is the witness.  If no assignment exists at all the
     result carries a note instead of a witness.
     """
-    assign, holds = lat._orthocomplement()
+    assign, holds = lat._orthocomplement
     if assign is None:
         return OrthomodularityReport(
             False, None, None, "no consistent orthocomplementation"
@@ -585,8 +576,8 @@ def check_orthomodular(lat: Lattice) -> OrthomodularityReport:
         return OrthomodularityReport(True, None, cmap, "")
     # The law-pruned search failed, so this assignment breaks the law at
     # some pair and the scan always returns.
-    mt, jt = lat._tables()
-    sub = lat._subset_matrix()
+    mt, jt = lat._tables
+    sub = lat._subset_matrix
     for x in range(n):
         y = _oml_break(mt, jt, sub, x, int(assign[x]))
         if y is not None:
@@ -631,14 +622,14 @@ def _boolean_blocks_raw(lat: Lattice) -> list:
     returned.  Without any complement assignment the inclusion-maximal
     cubes stand as found.
     """
-    assign = lat._orthocomplement()[0]
-    atoms = [hi for lo, hi in lat._cover_pairs() if lo == 0]
+    assign = lat._orthocomplement[0]
+    atoms = [hi for lo, hi in lat._cover_pairs if lo == 0]
     if len(atoms) > BLOCK_MAX_ATOMS:
         raise CapacityError(
             f"Boolean block search is capped at {BLOCK_MAX_ATOMS} atoms "
             f"(got {len(atoms)})"
         )
-    cubes = _cubes(*lat._tables(), atoms, (), np.zeros(1, dtype=np.int64))
+    cubes = _cubes(*lat._tables, atoms, (), np.zeros(1, dtype=np.int64))
     surviving = [
         (atom_idx, cube)
         for atom_idx, cube in cubes

@@ -526,6 +526,106 @@ def test_cli_check_without_a_checker_is_fine(tmp_path, capsys):
     rc = main(["run", str(path), "--check", "--out", str(tmp_path / "c")])
     assert rc == 0
     assert "no scenario-specific checks" in capsys.readouterr().out
+    assert not (tmp_path / "c" / "check.json").exists()
+
+
+def _edit_json(name, edit):
+    def doctor(out_dir):
+        path = os.path.join(out_dir, name)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        edit(data)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+    return doctor
+
+
+def _edit_active(rows, values):
+    def doctor(out_dir):
+        path = os.path.join(out_dir, "series.csv")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        for r, v in zip(rows, values):
+            t, c, _, p = lines[1 + r].split(",")
+            lines[1 + r] = f"{t},{c},{v},{p}"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    return doctor
+
+
+def _edit_grid(grid):
+    rows = {row["noise_p"]: row for row in grid["values"]}
+    rows[1e-6]["lock_in_runs"] = 3  # 1000 steps are too short to lock in
+    rows[5e-2]["sawtooth"] = 10**6
+
+
+# Short runs whose gates all pass, each with one artifact doctored so
+# that exactly one gate fails.
+DOCTORED_CHECKS = {
+    "fig9a": (["run", "fig9a", "--steps", "2000"],
+              _edit_json("summary.json", lambda s: s["events"].update(total=3)),
+              ("wave events", "==")),
+    "fig9b": (["run", "fig9b", "--steps", "5000"],
+              _edit_json("summary.json", lambda s: s["psd"].update(slope=-0.5)),
+              ("psd slope", "<=")),
+    "fig9c": (["run", "fig9c", "--steps", "3000"],
+              _edit_json("summary.json", lambda s: s["events"].update(spike_down=9)),
+              ("spike_down", ">=")),
+    "fig11": (["sweep", "fig11", "--steps", "1000"],
+              _edit_json("grid.json", _edit_grid),
+              ("spikes at 5e-2 vs sawtooth", ">")),
+    # a pre-onset sawtooth: a drop to 0, then a slow climb back
+    "fig12": (["run", "fig12", "--steps", "20000"],
+              _edit_active(range(5000, 5100), range(0, 200, 2)),
+              ("events before onset", "==")),
+    "fig5-lattice": (["lattice", "fig5-lattice"],
+                     _edit_json("laws.json", lambda laws: laws["shared"].insert(1, "{A1}")),
+                     ("shared elements", "==")),
+    "fig4-lattice": (["lattice", "fig4-lattice"],
+                     _edit_json("summary.json", lambda s: s.update(n_elements=13)),
+                     ("elements", "==")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCTORED_CHECKS))
+def test_doctored_artifact_fails_exactly_its_gate(name, tmp_path, monkeypatch, capsys):
+    args, doctor, (gate, op) = DOCTORED_CHECKS[name]
+    real_run = harness.run_scenario
+
+    def run_then_doctor(config, out_dir=None):
+        manifest = real_run(config, out_dir)
+        doctor(manifest["output_dir"])
+        return manifest
+
+    monkeypatch.setattr(harness, "run_scenario", run_then_doctor)
+    assert main(args + ["--check", "--out", str(tmp_path)]) == 4
+    record = json.loads((tmp_path / "check.json").read_text())
+    assert record["scenario"] == name and record["passed"] is False
+    failed = [(g["name"], g["op"]) for g in record["gates"] if not g["ok"]]
+    assert failed == [(gate, op)]
+    assert f"check {name}: FAIL {gate} = " in capsys.readouterr().out
+
+
+def test_check_json_lives_outside_the_manifest(tmp_path):
+    args = ["lattice", "fig5-lattice", "--out", str(tmp_path)]
+    assert main(args + ["--check"]) == 0
+    record = json.loads((tmp_path / "check.json").read_text())
+    assert record["passed"] is True and all(g["ok"] for g in record["gates"])
+    # a second checked run finds the old check.json on disk
+    assert main(args + ["--check"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert "check.json" not in manifest["files"]
+    assert main(args) == 0
+    assert not (tmp_path / "check.json").exists()
+
+
+def test_gate_verdicts():
+    Gate = harness.Gate
+    assert Gate("a", 1, "<", 2).ok and not Gate("a", 2, "<", 2).ok
+    assert Gate("a", 2, "<=", 2).ok and Gate("a", 2, ">=", 2).ok
+    assert Gate("a", [1], "==", [1]).ok and not Gate("a", 3, ">", 3).ok
+    assert not Gate("a", None, "==", None).ok
+    assert not Gate("a", 1, ">", None).ok and not Gate("a", None, "<", 1).ok
 
 
 def test_cli_adhoc_lattice_spec(tmp_path):

@@ -490,7 +490,7 @@ def test_meet_join_are_tight_bounds(data):
 @settings(max_examples=100, deadline=None)
 def test_tables_match_meet_join(data):
     lat = enumerate_lattice(data.draw(relations(max_rows=6, max_cols=6)))
-    mt, jt = lat._tables()
+    mt, jt = lat._tables
     elems = lat.elements
     for i, x in enumerate(elems):
         for j, y in enumerate(elems):
@@ -517,10 +517,10 @@ def test_tables_reject_exactly_the_non_lattice_families(universe, masks):
     except ValueError:
         is_lattice = False
     if is_lattice:
-        lat._tables()
+        lat._tables
     else:
         with pytest.raises(ValueError, match="not a lattice"):
-            lat._tables()
+            lat._tables
 
 
 @st.composite
@@ -533,7 +533,7 @@ def lattices(draw):
     full = (1 << universe) - 1
     lat = Lattice(universe, [0, full] + draw(st.lists(st.integers(0, full), max_size=8)))
     try:
-        lat._tables()
+        lat._tables
     except ValueError:
         assume(False)
     return lat
@@ -556,7 +556,7 @@ def test_found_orthocomplement_is_an_involutive_order_reversing_complement(lat):
 
 def triple_scan_distributive(lat) -> bool:
     """Reference verdict: meet over join on every triple (x, y, z)."""
-    mt, jt = lat._tables()
+    mt, jt = lat._tables
     return not any(
         (mt[x][jt] != jt[mt[x][:, None], mt[x][None, :]]).any()
         for x in range(len(lat))
