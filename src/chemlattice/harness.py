@@ -47,6 +47,7 @@ __all__ = [
     "run_scenario",
     "run_sweep",
     "load_series",
+    "verify_run",
     "detect_lock_in",
     "main",
     "cli",
@@ -491,7 +492,7 @@ def relation_from_source(source: str) -> lattice.Relation:
 
 def _run_lattice(config: ScenarioConfig, out_dir: str) -> dict:
     rel = relation_from_source(config.relation_source)
-    lat = lattice.enumerate_lattice(rel)
+    lat = lattice.enumerate_lattice(rel, max_elements=lattice.LAW_MAX_ELEMENTS)
     report = lattice.analyze_laws(lat)
     laws = lattice.law_report_json(report)
     summary = {
@@ -735,6 +736,35 @@ def run_checks(config: ScenarioConfig, out_dir: str) -> None:
     print(f"check {config.name}: ok")
 
 
+def verify_run(out_dir: str) -> None:
+    """Re-read every file manifest.json lists and compare its sha256 and
+    byte count.  Raises CheckFailure naming each mismatched or missing
+    file, OSError when there is no manifest and ValueError when it is
+    not a manifest."""
+    path = os.path.join(out_dir, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    listed = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(listed, dict):
+        raise ValueError(f"{path} has no files table")
+    failures = []
+    for rel_path, want in sorted(listed.items()):
+        try:
+            with open(os.path.join(out_dir, rel_path), "rb") as fh:
+                payload = fh.read()
+        except FileNotFoundError:
+            failures.append(f"{rel_path}: missing")
+            continue
+        got = {"bytes": len(payload), "sha256": hashlib.sha256(payload).hexdigest()}
+        if got != want:
+            failures.append(f"{rel_path}: read {json.dumps(got)}, manifest {json.dumps(want)}")
+    for f in failures:
+        print(f"verify {out_dir}: FAIL {f}")
+    if failures:
+        raise CheckFailure(failures)
+    print(f"verify {out_dir}: ok, {len(listed)} files match manifest.json")
+
+
 # Scenario kinds each subcommand accepts.
 _COMMAND_KINDS = {
     "run": ("single", "ramp", "lattice"),
@@ -831,6 +861,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "generator spec like diag:3 or blocks:3,3,2:overlap=3",
     )
     common(p_lat, with_sim=False)
+
+    p_verify = sub.add_parser(
+        "verify", help="recheck a run directory against its manifest; exit 4 on a mismatch"
+    )
+    p_verify.add_argument("run_dir", help="directory holding manifest.json")
     return parser
 
 
@@ -838,6 +873,9 @@ def main(argv: Optional[list] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command == "verify":
+            verify_run(args.run_dir)
+            return 0
         config = _apply_overrides(_resolve_config(args.command, args.scenario), args)
         manifest = run_scenario(config, args.out)
         out_dir = manifest["output_dir"]

@@ -645,6 +645,42 @@ def test_cli_lattice_from_relation_file(tmp_path):
     assert summary["n_elements"] == 8
 
 
+def test_cli_lattice_stops_enumerating_at_the_law_table_cap(tmp_path, capsys, monkeypatch):
+    closures = []
+    closure_mask = lattice_module._closure_mask
+
+    def counted(*args):
+        closures.append(1)
+        return closure_mask(*args)
+
+    monkeypatch.setattr(lattice_module, "_closure_mask", counted)
+    assert main(["lattice", "diag:14", "--out", str(tmp_path)]) == 3
+    assert "capped at 512 elements" in capsys.readouterr().err
+    assert len(closures) <= 2 * 513  # not the 2^14 = 16384 of a full enumeration
+
+
+def test_cli_verify_names_each_changed_or_missing_file(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "fig9a", "--steps", "300", "--out", str(out)]) == 0
+    assert main(["verify", str(out)]) == 0
+    assert "ok, 2 files match" in capsys.readouterr().out
+    series = bytearray((out / "series.csv").read_bytes())
+    series[-2] ^= 1  # one byte of the last row, same length
+    (out / "series.csv").write_bytes(bytes(series))
+    assert main(["verify", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "series.csv" in err and "summary.json" not in err
+    (out / "summary.json").unlink()
+    assert main(["verify", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert "series.csv" in err and "summary.json: missing" in err
+    assert main(["verify", str(tmp_path / "no-run")]) == 3
+    assert "manifest.json" in capsys.readouterr().err
+    (out / "manifest.json").write_text("[]")
+    assert main(["verify", str(out)]) == 3
+    assert "no files table" in capsys.readouterr().err
+
+
 def test_cli_run_accepts_lattice_scenarios(tmp_path):
     assert main(["run", "fig5-lattice", "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "summary.json").read_text())["n_elements"] == 30

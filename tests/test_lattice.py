@@ -333,6 +333,23 @@ def test_law_table_capacity_cap():
         analyze_laws(lat)
 
 
+def test_law_table_cap_comes_before_the_cover_scan(monkeypatch):
+    scans = []
+    scan = lattice_module._scan_cover
+    monkeypatch.setattr(lattice_module, "_scan_cover", lambda lat: scans.append(1) or scan(lat))
+    lat = Lattice(12, range(4096))  # past the Hasse cap of 2048 as well
+    with pytest.raises(CapacityError, match="pairwise law tables are capped at 512"):
+        lat._tables
+    assert scans == []
+
+
+def test_enumeration_element_bound():
+    diag = Relation(np.eye(9, dtype=bool))
+    assert len(enumerate_lattice(diag, max_elements=512)) == 512
+    with pytest.raises(CapacityError, match="capped at 511 elements"):
+        enumerate_lattice(diag, max_elements=511)
+
+
 def test_mask_width_capacity_cap():
     lat = Lattice.from_subsets(63, [(), range(63)])
     assert len(lat) == 2 and check_orthomodular(lat).holds
@@ -498,10 +515,43 @@ def test_tables_match_meet_join(data):
             assert (mt[i, j], jt[i, j]) == (lat.index_of(m), lat.index_of(jn))
 
 
-@given(
-    universe=st.integers(1, 5),
-    masks=st.lists(st.integers(0, 31), max_size=10),
-)
+def argmax_tables(lat) -> tuple:
+    """Reference meet/join tables by a per-row scan of the inclusion
+    matrix: a join is the first common upper bound, provided it lies
+    inside every other one (else the family is no lattice), and a meet
+    the last common lower bound."""
+    n = len(lat)
+    sub = lat._subset_matrix
+    below = np.ascontiguousarray(sub.T[:, ::-1])
+    meet_tab = np.empty((n, n), dtype=np.int32)
+    join_tab = np.empty((n, n), dtype=np.int32)
+    for i in range(n):
+        meet_tab[i] = n - 1 - (below[i] & below).argmax(axis=1)
+        up = sub[i] & sub
+        join_tab[i] = up.argmax(axis=1)
+        if (up & ~sub[join_tab[i]]).any():
+            raise ValueError("the family is not a lattice")
+    return meet_tab, join_tab
+
+
+def assert_tables_match_argmax(lat):
+    try:
+        want = argmax_tables(lat)
+    except ValueError:
+        with pytest.raises(ValueError, match="not a lattice"):
+            lat._tables
+        return
+    mt, jt = lat._tables
+    assert mt.dtype == jt.dtype == np.int32
+    assert np.array_equal(mt, want[0]) and np.array_equal(jt, want[1])
+
+
+# set families over a small ground set; bottom and top are added
+FAMILY_UNIVERSES = st.integers(1, 5)
+FAMILY_MASKS = st.lists(st.integers(0, 31), max_size=10)
+
+
+@given(universe=FAMILY_UNIVERSES, masks=FAMILY_MASKS)
 @example(universe=4, masks=[0b0001, 0b0010, 0b0111, 0b1011])  # no join
 @example(universe=4, masks=[0b0001, 0b0010, 0b0111, 0b1011, 0b0011])  # a lattice
 @settings(max_examples=300, deadline=None)
@@ -521,6 +571,7 @@ def test_tables_reject_exactly_the_non_lattice_families(universe, masks):
     else:
         with pytest.raises(ValueError, match="not a lattice"):
             lat._tables
+    assert_tables_match_argmax(lat)
 
 
 @st.composite
@@ -638,3 +689,19 @@ def test_boolean_blocks_match_a_from_scratch_search(lat):
     assert len(set(sets)) == len(sets)
     assert set(sets) == reference_blocks(lat)
     assert all(count == 2 ** len(atoms) for atoms, count in blocks)
+
+
+# M3 and N5 as families not closed under intersection
+N5_UNCLOSED = Lattice.from_subsets(4, [(), (0, 1), (0, 1, 2), (0, 3), (0, 1, 2, 3)])
+DIAG9 = enumerate_lattice(Relation(np.eye(9, dtype=bool)))
+BLOCKS88 = enumerate_lattice(build_two_block_relation([8, 8]))
+
+
+@given(lat=lattices())
+@example(lat=M3)
+@example(lat=N5_UNCLOSED)
+@example(lat=DIAG9)
+@example(lat=BLOCKS88)
+@settings(max_examples=300, deadline=None)
+def test_tables_match_the_argmax_reference(lat):
+    assert_tables_match_argmax(lat)
