@@ -1,0 +1,121 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on one benchmark workload by alternating pairs.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload noise_1f \\
+        --pairs 10 --seconds 28 --seed-base 1000
+
+Pair i runs ``bench/run.py --workload W --seed K+i --seconds S --trace 0``
+once in each checkout, each with its own ``bench/run.py`` and from its
+own root; the parent goes first in even pairs and the change in odd
+ones.  The last line a run prints is its JSON result.  For every
+end-to-end metric that the parent's BENCHMARK.json declares, the script
+prints each side's median and quartiles, the pairs the change won
+(ties count for neither side), and whether the median moved the better
+way by more than the parent's interquartile range.  A gain holds when
+the change won at least nine tenths of the pairs and that move exceeds
+the parent's IQR.  Runs that fail or report ``correct: false`` are
+listed and leave their pair out.  Exits 1 when any run failed.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float):
+    """The JSON result of one benchmark run in ``root``, or an error text."""
+    cmd = [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    try:
+        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                              timeout=4 * seconds + 300)
+    except subprocess.TimeoutExpired:
+        return None, "timed out"
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return None, f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"
+    try:
+        result = json.loads(lines[-1])
+    except json.JSONDecodeError:
+        return None, f"last line is not JSON: {lines[-1][:200]}"
+    if not result.get("correct"):
+        return None, f"correct false, {result.get('failed')} of {result.get('attempted')} failed"
+    return result, None
+
+
+def quartiles(values: list) -> tuple:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=28.0)
+    ap.add_argument("--seed-base", type=int, default=1000, dest="seed_base",
+                    help="pair i runs at seed SEED_BASE + i")
+    args = ap.parse_args(argv)
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
+    lower_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+
+    pairs, failures = [], []
+    for i in range(args.pairs):
+        seed = args.seed_base + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        got = {}
+        for side in order:
+            result, error = run_once(roots[side], args.workload, seed, args.seconds)
+            if error:
+                failures.append(f"pair {i} seed {seed} {side}: {error}")
+            else:
+                got[side] = {name: m["value"] for name, m in result["metrics"].items()}
+        line = "  ".join(f"{side} run_s {got[side].get('run_s', float('nan')):.4f}"
+                         for side in order if side in got)
+        print(f"pair {i} seed {seed} ({order[0]} first): {line}", file=sys.stderr)
+        if len(got) == 2:
+            pairs.append(got)
+
+    print(f"workload {args.workload}: {len(pairs)} complete pairs of {args.pairs}, "
+          f"{args.seconds:g} s runs, seeds {args.seed_base}..{args.seed_base + args.pairs - 1}")
+    summary = {}
+    for name, lower in lower_better.items():
+        parent = [p["parent"][name] for p in pairs if name in p["parent"]]
+        change = [p["change"][name] for p in pairs if name in p["change"]]
+        if not parent or len(parent) != len(change):
+            continue
+        sign = 1 if lower else -1
+        wins = sum(sign * (p["parent"][name] - p["change"][name]) > 0 for p in pairs)
+        losses = sum(sign * (p["change"][name] - p["parent"][name]) > 0 for p in pairs)
+        (pq1, pq3), (cq1, cq3) = quartiles(parent), quartiles(change)
+        pmed, cmed = statistics.median(parent), statistics.median(change)
+        gain = sign * (pmed - cmed)
+        beyond = gain > pq3 - pq1
+        holds = wins >= 0.9 * len(pairs) and beyond
+        summary[name] = {"parent_median": pmed, "parent_quartiles": [pq1, pq3],
+                         "change_median": cmed, "change_quartiles": [cq1, cq3],
+                         "wins": wins, "losses": losses, "pairs": len(pairs),
+                         "gain_exceeds_parent_iqr": beyond, "gain_holds": holds}
+        print(f"  {name:12s} parent {pmed:.4f} ({pq1:.4f}-{pq3:.4f})  "
+              f"change {cmed:.4f} ({cq1:.4f}-{cq3:.4f})  "
+              f"{(cmed - pmed) / pmed:+.1%}  change better in {wins}/{len(pairs)} "
+              f"(worse in {losses})  gain beyond parent IQR {pq3 - pq1:.4f}: "
+              f"{'yes' if beyond else 'no'}  gain holds: {'yes' if holds else 'no'}")
+    for failure in failures:
+        print(f"  FAIL {failure}")
+    print(json.dumps({"workload": args.workload, "pairs": pairs, "failures": failures,
+                      "metrics": summary}))
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -12,6 +12,7 @@ produces) is deliberately not an event.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,6 +37,9 @@ __all__ = [
 RETRACE_FRACTION = 0.25
 PLATEAU_LEVEL_FRACTION = 0.75
 PLATEAU_TIME_FRACTION = 0.8
+
+# Samples a retrace walk reads per chunk.
+_WALK_CHUNK = 64
 
 # Shortest series psd accepts, and fewest usable bins a slope fit takes.
 PSD_MIN_SAMPLES = 256
@@ -168,73 +172,92 @@ def fit_loglog_slope(spectrum: Spectrum, f_lo: float, f_hi: float) -> tuple:
     return slope, stderr
 
 
-def _trailing_extreme(x: np.ndarray, window: int, pad_value: float, fn) -> np.ndarray:
-    pad = np.full(window - 1, pad_value)
-    padded = np.concatenate([pad, x])
-    return fn(np.lib.stride_tricks.sliding_window_view(padded, window), axis=1)
+def _trailing_extremes(x: np.ndarray, window: int) -> tuple:
+    """Trailing minimum and maximum of ``x`` over the last ``window``
+    samples, each sample included (fewer at the start), built from
+    ``window - 1`` shifted views."""
+    lo, hi = x.copy(), x.copy()
+    for shift in range(1, min(window, x.size)):
+        np.minimum(lo[shift:], x[:-shift], out=lo[shift:])
+        np.maximum(hi[shift:], x[:-shift], out=hi[shift:])
+    return lo, hi
 
 
 def _scan_trace(x: np.ndarray, t: np.ndarray, rise_window: int, fall_window: int,
                 min_amplitude: float) -> list:
     """Excursion scanner over a raw trace; windows count samples, and
-    event times are read off the time axis ``t``."""
+    event times are read off the time axis ``t``.
+
+    An event can open only at a sample (past the first) that lies at
+    least ``min_amplitude`` above the lowest or below the highest of the
+    ``rise_window`` samples before it.  One array mask marks those
+    samples, and the scan jumps from one to the next with ``bisect``,
+    resuming after each event's end; a trace with no such sample costs a
+    few array passes.  Each event is then read off Python floats, a
+    window or a chunk of the walk at a time: its start (the last low of
+    the rise window), its peak (the first high of the window after the
+    opening sample) and the walk to its retrace.
+    """
     n = x.size
-    events = []
     if n < 2:
-        return events
-    w = rise_window + 1
-    tmin = _trailing_extreme(x, w, np.inf, np.min)
-    tmax = _trailing_extreme(x, w, -np.inf, np.max)
-    j = 1
-    while j < n:
-        up_amp = x[j] - tmin[j]
-        down_amp = tmax[j] - x[j]
-        if up_amp < min_amplitude and down_amp < min_amplitude:
-            j += 1
-            continue
-        upward = up_amp >= down_amp
-        y = x if upward else -x
-        lo = max(0, j - rise_window)
-        win = y[lo:j + 1]
-        t_start = lo + int(np.flatnonzero(win == win.min())[-1])
-        hi = min(n, j + rise_window + 1)
-        t_peak = j + int(np.argmax(y[j:hi]))
-        base = y[t_start]
-        amplitude = y[t_peak] - base
+        return []
+    up_amp, down_amp = _trailing_extremes(x, rise_window + 1)
+    np.subtract(x, up_amp, out=up_amp)  # rise above the trailing minimum
+    np.subtract(down_amp, x, out=down_amp)  # fall below the trailing maximum
+    able = (up_amp >= min_amplitude) | (down_amp >= min_amplitude)
+    able[0] = False
+    opens = able.nonzero()[0].tolist()
+    events = []
+    k, j = 0, 1
+    while True:
+        k = bisect_left(opens, j, k)
+        if k == len(opens):
+            break
+        j = opens[k]
+        upward = bool(up_amp[j] >= down_amp[j])
+        # The event is read off y = sign * x, so a fall is scanned as a rise.
+        sign = 1.0 if upward else -1.0
+        win = [sign * v for v in x[max(0, j - rise_window):j + 1].tolist()]
+        base = min(win)
+        t_start = j - win[::-1].index(base)
+        win = [sign * v for v in x[j:j + rise_window + 1].tolist()]
+        top = max(win)
+        t_peak = j + win.index(top)
+        amplitude = top - base
         retrace_level = base + RETRACE_FRACTION * amplitude
         high_level = base + PLATEAU_LEVEL_FRACTION * amplitude
         t_end = None
         high_samples = 0
         u = t_peak + 1
-        while u < n:
-            if y[u] <= retrace_level:
-                t_end = u
-                break
-            if y[u] >= high_level:
-                high_samples += 1
-            u += 1
+        while t_end is None and u < n:
+            for v in x[u:u + _WALK_CHUNK].tolist():
+                v *= sign
+                if v <= retrace_level:
+                    t_end = u
+                    break
+                if v >= high_level:
+                    high_samples += 1
+                u += 1
         if t_end is None:
-            # Ran off the end mid-event: only a clear plateau is worth
-            # consuming; anything else is left unclassified.
-            j = n
-            continue
+            # Ran off the end mid-event: left unclassified.
+            break
         decay = t_end - t_peak
         if decay <= fall_window:
             kind = "spike_up" if upward else "spike_down"
         elif high_samples >= PLATEAU_TIME_FRACTION * decay:
-            j = t_end + 1  # flat-top oscillation pulse, not a wave
-            continue
+            kind = None  # flat-top oscillation pulse, not a wave
         else:
             kind = "sawtooth"
-        events.append(
-            WaveEvent(
-                kind=kind,
-                t_start=int(t[t_start]),
-                t_peak=int(t[t_peak]),
-                t_end=int(t[t_end]),
-                amplitude=float(amplitude),
+        if kind is not None:
+            events.append(
+                WaveEvent(
+                    kind=kind,
+                    t_start=int(t[t_start]),
+                    t_peak=int(t[t_peak]),
+                    t_end=int(t[t_end]),
+                    amplitude=amplitude,
+                )
             )
-        )
         j = t_end + 1
     return events
 

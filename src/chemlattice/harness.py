@@ -313,22 +313,21 @@ def run_simulation(params: SimParams, record_every: int = 1) -> tuple:
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
     steps = params.max_steps
     state = init_state(params)
-    tt = np.arange(0, steps + 1, record_every, dtype=np.int64)
-    cc = np.empty(len(tt), dtype=np.int64)
-    ac = np.empty(len(tt), dtype=np.int64)
-    cc[0] = len(state.c0)
-    ac[0] = state.n_active
+    cc = [len(state.c0)]
+    ac = [state.n_active]
     for t in range(1, steps + 1):
         step(state, params)
-        if t % record_every == 0:
-            i = t // record_every
-            cc[i] = len(state.c0)
-            ac[i] = state.n_active
+        if not t % record_every:
+            cc.append(len(state.c0))
+            ac.append(state.n_active)
+    cc = np.array(cc, dtype=np.int64)
+    ac = np.array(ac, dtype=np.int64)
     violations = audit_consistency(state)
     if violations:
         raise RuntimeError(
             "state audit failed after run: " + "; ".join(violations[:3])
         )
+    tt = np.arange(0, steps + 1, record_every, dtype=np.int64)
     schedule = params.noise_schedule
     if schedule.kind == "constant":
         noise = np.full(len(tt), schedule.p0)
@@ -363,13 +362,26 @@ def detect_lock_in(series: analysis.RunSeries) -> bool:
     return activated and cluster_high and active_high
 
 
+# Rows of series.csv formatted per chunk: long enough that the per-chunk
+# numpy calls vanish, short enough that the chunk's lists stay small.
+CSV_CHUNK_ROWS = 2048
+
+
 def _series_csv(series: analysis.RunSeries) -> str:
-    rows = ["t,cluster_count,active_count,noise_p"]
-    for t, c, a, p in zip(
-        series.t, series.cluster_count, series.active_count, series.noise_trace
-    ):
-        rows.append(f"{int(t)},{int(c)},{int(a)},{repr(float(p))}")
-    return "\n".join(rows) + "\n"
+    """The series.csv text: a header, then ``t,cluster_count,active_count,
+    noise_p`` per recorded sample, the counts as integers and the noise
+    as its float repr.  Rows are formatted CSV_CHUNK_ROWS at a time from
+    ``tolist()`` slices of the columns, so no numpy scalar is built per
+    row and the transient lists stay one chunk long."""
+    # A constant schedule read from JSON may hold an integer p0, whose
+    # trace is an integer array; the file still writes it as a float.
+    columns = (series.t, series.cluster_count, series.active_count,
+               series.noise_trace.astype(np.float64, copy=False))
+    parts = ["t,cluster_count,active_count,noise_p\n"]
+    for lo in range(0, len(series.t), CSV_CHUNK_ROWS):
+        t, c, a, p = (col[lo:lo + CSV_CHUNK_ROWS].tolist() for col in columns)
+        parts.append("".join([f"{ti},{ci},{ai},{pi!r}\n" for ti, ci, ai, pi in zip(t, c, a, p)]))
+    return "".join(parts)
 
 
 def _json_text(data) -> str:

@@ -14,9 +14,9 @@ and uniform-float conversions on it, so every value and the generator's
 stream are exactly what direct ``integers``/``random`` calls would give,
 and trajectories replay bit-exactly.  A row of per-molecule events comes
 either as a dense boolean mask (``below``, the kick) or as the sparse
-list of its hit indices (``hits``, the noise); both are bit-exact.  A
-state is not safe to share between threads; parameter sweeps use
-independent states.
+list of its hit indices with an offset (``hits``, the noise); both are
+bit-exact.  A state is not safe to share between threads; parameter
+sweeps use independent states.
 """
 
 from __future__ import annotations
@@ -148,12 +148,13 @@ class Draws:
     ``below(n, p)`` exactly ``gen.random(n) < p``, and both consume the
     stream as those calls do, so a run is bit-identical to one that calls
     the generator directly.  ``hits(n, p)`` is the sparse form of
-    ``below``: the indices of its True entries as a list, from the same
-    n words.  Bounded integers use Lemire's rejection on 32-bit halves: a
-    raw word serves its low half first and caches its high half, like
-    PCG64's ``next_uint32``, and the replay keeps that cache from
-    construction on.  ``random()`` is ``(word >> 11) * 2**-53``, so
-    ``random() < p`` is ``word < ceil(p * 2**53) << 11``.
+    ``below``: the indices of its True entries, from the same n words, as
+    a list and an offset to subtract from each.  Bounded integers use
+    Lemire's rejection on 32-bit halves: a raw word serves its low half
+    first and caches its high half, like PCG64's ``next_uint32``, and the
+    replay keeps that cache from construction on.  ``random()`` is
+    ``(word >> 11) * 2**-53``, so ``random() < p`` is
+    ``word < ceil(p * 2**53) << 11``.
 
     ``bit_generator`` returns the generator moved to the replay's logical
     position.  Drawing from it directly desynchronises the replay.
@@ -280,13 +281,16 @@ class Draws:
             return np.zeros(n, dtype=bool)
         return self._block[pos:pos + n] < _word_threshold(p)
 
-    def hits(self, n: int, p: float) -> list:
-        """The indices at which ``below(n, p)`` would be True, ascending;
-        consumes the same n words.
+    def hits(self, n: int, p: float) -> tuple:
+        """``(positions, offset)``: the indices at which ``below(n, p)``
+        would be True are ``i - offset`` for ``i`` in ``positions``,
+        ascending; consumes the same n words.
 
         The second call in a row at the same p compares the whole block
-        once and keeps its hit list, so later calls at that p slice the
-        list instead of comparing words.  A refill drops the list;
+        once and keeps its hit list.  Later calls at that p return a slice
+        of that list, whose entries are block indices, with the row's block
+        offset, so no entry is shifted or rebuilt.  Every other call
+        returns row indices with offset 0.  A refill drops the list;
         ``below`` calls in between leave it alone.
         """
         pos = self._pos  # _take(n), inline
@@ -296,18 +300,18 @@ class Draws:
             pos, end = 0, n
         self._pos = end
         if p >= 1.0:
-            return list(range(n))
+            return range(n), 0
         if not p > 0.0:
-            return []
+            return (), 0
         if p != self._hit_p:
             if p != self._last_p:
                 self._last_p = p
-                return (self._block[pos:end] < _word_threshold(p)).nonzero()[0].tolist()
+                return (self._block[pos:end] < _word_threshold(p)).nonzero()[0].tolist(), 0
             self._hit_p = p
             self._hits = (self._block < _word_threshold(p)).nonzero()[0].tolist()
         found = self._hits
         lo = bisect_left(found, pos)
-        return [i - pos for i in found[lo:bisect_left(found, end, lo)]]
+        return found[lo:bisect_left(found, end, lo)], pos
 
 
 def _word_threshold(p: float) -> int:
@@ -315,7 +319,7 @@ def _word_threshold(p: float) -> int:
     return math.ceil(p * _TWO53) << 11
 
 
-@dataclass
+@dataclass(slots=True)
 class SimState:
     """Mutable simulation state.
 
@@ -378,14 +382,16 @@ class SimState:
     def c_max(self) -> int:
         return len(self.c0)
 
-    def flip(self, idx: list) -> int:
-        """Toggle the activity of the distinct molecules ``idx``, a list of
-        indices; each flip moves its cluster's active count, the ``act``
-        table and ``n_active`` by one.  Returns the number of flips."""
+    def flip(self, idx, base: int = 0) -> int:
+        """Toggle the activity of the distinct molecules ``i - base`` for
+        ``i`` in ``idx``, as ``Draws.hits`` returns them; each flip moves
+        its cluster's active count, the ``act`` table and ``n_active`` by
+        one.  Returns the number of flips."""
         clusters, flags = self._clusters, self._flags
         c0, c1, act = self.c0, self.c1, self.act
         n_active = self.n_active
         for i in idx:
+            i -= base
             k = clusters[i]
             if flags[i]:
                 flags[i] = 0
@@ -605,12 +611,12 @@ def apply_boundary_rules(state: SimState) -> str:
 def apply_noise(state: SimState, p: float) -> int:
     """Flip each molecule's activity independently with probability p,
     through ``SimState.flip``; returns the number of flips.  The flipped
-    molecules come from ``rng.hits``.  With p <= 0 no random draws are
-    consumed.
+    molecules and their offset come from ``rng.hits``.  With p <= 0 no
+    random draws are consumed.
     """
     if p <= 0.0:
         return 0
-    return state.flip(state.rng.hits(state.m0.shape[0], p))
+    return state.flip(*state.rng.hits(state.m0.shape[0], p))
 
 
 def step(state: SimState, params: SimParams) -> StepReport:

@@ -2,21 +2,32 @@
 
 The transform is validated against a direct quadratic-time evaluation
 of the DFT sum written here, and against numpy's FFT as a second
-independent reference.
+independent reference.  The event scanner, which jumps between the
+samples that can open an event, is compared with the per-sample scan it
+replaced, kept here as `reference_scan_trace`.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chemlattice.analysis import (
+    PLATEAU_LEVEL_FRACTION,
+    PLATEAU_TIME_FRACTION,
+    RETRACE_FRACTION,
     RunSeries,
     Spectrum,
+    WaveEvent,
     detect_events,
     fit_loglog_slope,
     psd,
     radix2_dft,
     summarize,
 )
+from chemlattice.harness import builtin_config, run_simulation, sub_run_seed
+from chemlattice.sim_core import NoiseSchedule
 
 
 def naive_dft(x):
@@ -279,3 +290,169 @@ def test_summary_has_no_slope_when_the_band_holds_too_few_bins():
     with pytest.raises(ValueError, match="usable bins"):
         fit_loglog_slope(spectrum, 0.4, 0.401)
     assert summarize(s, [], spectrum, (0.4, 0.401))["psd"] is None
+
+
+# ----------------------------------------------- scanner vs per-sample scan
+
+
+def _reference_trailing_extreme(x, window, pad_value, fn):
+    pad = np.full(window - 1, pad_value)
+    padded = np.concatenate([pad, x])
+    return fn(np.lib.stride_tricks.sliding_window_view(padded, window), axis=1)
+
+
+def reference_scan_trace(x, t, rise_window, fall_window, min_amplitude):
+    """The per-sample excursion scan: every sample is tested as a
+    possible opening, one numpy scalar at a time."""
+    n = x.size
+    events = []
+    if n < 2:
+        return events
+    w = rise_window + 1
+    tmin = _reference_trailing_extreme(x, w, np.inf, np.min)
+    tmax = _reference_trailing_extreme(x, w, -np.inf, np.max)
+    j = 1
+    while j < n:
+        up_amp = x[j] - tmin[j]
+        down_amp = tmax[j] - x[j]
+        if up_amp < min_amplitude and down_amp < min_amplitude:
+            j += 1
+            continue
+        upward = up_amp >= down_amp
+        y = x if upward else -x
+        lo = max(0, j - rise_window)
+        win = y[lo:j + 1]
+        t_start = lo + int(np.flatnonzero(win == win.min())[-1])
+        hi = min(n, j + rise_window + 1)
+        t_peak = j + int(np.argmax(y[j:hi]))
+        base = y[t_start]
+        amplitude = y[t_peak] - base
+        retrace_level = base + RETRACE_FRACTION * amplitude
+        high_level = base + PLATEAU_LEVEL_FRACTION * amplitude
+        t_end = None
+        high_samples = 0
+        u = t_peak + 1
+        while u < n:
+            if y[u] <= retrace_level:
+                t_end = u
+                break
+            if y[u] >= high_level:
+                high_samples += 1
+            u += 1
+        if t_end is None:
+            j = n
+            continue
+        decay = t_end - t_peak
+        if decay <= fall_window:
+            kind = "spike_up" if upward else "spike_down"
+        elif high_samples >= PLATEAU_TIME_FRACTION * decay:
+            j = t_end + 1
+            continue
+        else:
+            kind = "sawtooth"
+        events.append(
+            WaveEvent(
+                kind=kind,
+                t_start=int(t[t_start]),
+                t_peak=int(t[t_peak]),
+                t_end=int(t[t_end]),
+                amplitude=float(amplitude),
+            )
+        )
+        j = t_end + 1
+    return events
+
+
+def _ramp(level, amp, length):
+    # length integer samples moving from level toward level + amp, the
+    # last one reaching it.
+    return [level + amp * i // length for i in range(1, length + 1)]
+
+
+def _build_trace(start, segments):
+    trace = [start]
+    for kind, *args in segments:
+        level = trace[-1]
+        if kind == "flat":
+            trace += [level] * args[0]
+        elif kind == "walk":
+            for delta in args[0]:
+                trace.append(trace[-1] + delta)
+        elif kind in ("spike", "sawtooth"):  # rise, amplitude, fall
+            rise, amp, fall = args
+            trace += _ramp(level, amp, rise) + _ramp(level + amp, -amp, fall)
+        else:  # plateau pulse: rise, amplitude, plateau length, fall
+            rise, amp, hold, fall = args
+            trace += (_ramp(level, amp, rise) + [level + amp] * hold
+                      + _ramp(level + amp, -amp, fall))
+    return trace
+
+
+SEGMENTS = st.lists(
+    st.one_of(
+        st.tuples(st.just("flat"), st.integers(1, 60)),
+        st.tuples(st.just("walk"), st.lists(st.integers(-40, 40), min_size=1, max_size=80)),
+        st.tuples(st.just("spike"), st.integers(1, 30), st.integers(-240, 240),
+                  st.integers(1, 40)),
+        st.tuples(st.just("sawtooth"), st.integers(1, 30), st.integers(-240, 240),
+                  st.integers(30, 300)),
+        st.tuples(st.just("plateau"), st.integers(1, 10), st.integers(-240, 240),
+                  st.integers(1, 120), st.integers(1, 5)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def assert_scans_agree(trace, rise, fall, amp, t=None):
+    series = series_from(trace, t)
+    want = reference_scan_trace(np.asarray(trace, dtype=np.float64), series.t,
+                                rise, fall, float(amp))
+    assert detect_events(series, rise, fall, amp) == want
+    return want
+
+
+@given(
+    start=st.integers(-50, 250),
+    segments=SEGMENTS,
+    negate=st.booleans(),
+    cut=st.integers(0, 40),  # samples dropped from the end, mid-event or not
+    rise=st.integers(1, 30),
+    fall=st.integers(1, 30),
+    amp=st.one_of(st.integers(1, 250), st.floats(1, 250)),
+    stride=st.integers(1, 3),
+)
+# A planted spike of exactly the minimum amplitude opens an event.
+@example(start=20, segments=[("flat", 30), ("spike", 5, 100, 5), ("flat", 30)],
+         negate=False, cut=0, rise=20, fall=20, amp=100, stride=1)
+# Up spikes whose fall ends right where a down opening would qualify.
+@example(start=20, segments=[("flat", 30), ("spike", 3, 160, 2), ("walk", [-170, 0, 175]),
+                             ("flat", 30)],
+         negate=False, cut=0, rise=5, fall=5, amp=150, stride=1)
+@example(start=0, segments=[("flat", 10), ("sawtooth", 4, 200, 60), ("flat", 5),
+                            ("plateau", 2, 200, 50, 2), ("flat", 5)],
+         negate=True, cut=0, rise=10, fall=10, amp=160, stride=2)
+@settings(max_examples=400, deadline=None)
+def test_scan_matches_the_per_sample_reference(start, segments, negate, cut, rise, fall,
+                                               amp, stride):
+    trace = np.asarray(_build_trace(start, segments), dtype=np.int64)
+    if negate:
+        trace = 400 - trace
+    trace = trace[:max(1, trace.size - cut)]
+    assert_scans_agree(trace, rise, fall, amp, t=500 + stride * np.arange(trace.size))
+
+
+def test_scan_matches_the_reference_on_simulated_traces():
+    fig9c = builtin_config("fig9c")
+    series, _ = run_simulation(replace(fig9c.sim, max_steps=30_000))
+    trace = series.active_count
+    assert len(assert_scans_agree(trace, 25, 25, 160)) > 100
+    for rise, fall, amp in ((5, 40, 100), (30, 10, 190.5), (1, 1, 60)):
+        assert_scans_agree(trace, rise, fall, amp)
+    # One fig11 cell at p = 5e-3, the sawtooth regime, at full length.
+    fig11 = builtin_config("fig11")
+    cell = replace(fig11.sim, noise_schedule=NoiseSchedule(kind="constant", p0=5e-3),
+                   seed=sub_run_seed(fig11.sim.seed, 3, 0))
+    series, _ = run_simulation(cell)
+    events = assert_scans_agree(series.active_count, 25, 25, 160)
+    assert any(e.kind == "sawtooth" for e in events)

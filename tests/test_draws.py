@@ -4,10 +4,11 @@
 blocks of PCG64's raw output.  Each example below drives it and a plain
 `np.random.default_rng(seed)` through the same random sequence of
 operations, cloning both sides along the way, and requires equal values
-and an equal generator state after every operation.  ``hits`` is checked
-against the nonzero indices of the reference's uniforms; its hit-list
-cache is exercised by repeated probabilities, other draws in between,
-refills and clones.
+and an equal generator state after every operation.  ``hits`` is checked,
+offset subtracted, against the nonzero indices of the reference's
+uniforms; its hit-list cache is exercised by repeated probabilities,
+other draws in between, refills and clones.  A direct test walks each
+branch of ``hits`` and checks the (positions, offset) pair it returns.
 """
 
 import numpy as np
@@ -95,7 +96,9 @@ def test_draws_match_numpy(seed, predraws, ops):
                     assert got.dtype == bool
                     assert np.array_equal(got, expected)
                 else:
-                    assert draws.hits(n, p) == np.flatnonzero(expected).tolist()
+                    positions, offset = draws.hits(n, p)
+                    got = [i - offset for i in positions]
+                    assert got == np.flatnonzero(expected).tolist()
         elif op == "state":
             assert draws.bit_generator.state == ref.bit_generator.state
         else:
@@ -120,3 +123,37 @@ def test_state_wraps_its_generator():
     state = init_state(SimParams(seed=5))
     assert isinstance(state.rng, Draws)
     assert state.rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+
+def test_hits_returns_positions_and_offset_from_every_branch():
+    draws = Draws(np.random.default_rng(9))
+    ref = np.random.default_rng(9)
+
+    def row(n, p):
+        positions, offset = draws.hits(n, p)
+        assert [i - offset for i in positions] == np.flatnonzero(ref.random(n) < p).tolist()
+        return positions, offset
+
+    assert row(5, 1.0) == (range(5), 0)  # p >= 1: every index, no words compared
+    assert row(5, 0.0) == ((), 0)  # p <= 0: none
+    positions, offset = row(300, 0.25)  # first call at this p: its own row
+    assert offset == 0 and isinstance(positions, list)
+    assert row(300, 0.5)[1] == 0  # a new p is again a first call
+    # The second call in a row at one p keeps the block's hit list and
+    # serves block indices with the row's block offset.
+    positions, offset = row(300, 0.5)
+    assert offset == 610 and positions[0] >= offset
+    assert draws._hits is not None
+    kept = draws._hits
+    positions, offset = row(300, 0.5)  # the cached list, sliced
+    assert offset == 910 and draws._hits is kept
+    # A refill drops the list, so the first row of the new block is a
+    # first call again; the next one keeps the new block's list.
+    assert row(DRAW_BLOCK - 1000, 0.5)[1] == 0
+    assert draws._hits is None
+    assert row(300, 0.5)[1] == DRAW_BLOCK - 1000
+    assert draws._hits not in (None, kept)
+    # A row longer than a block refills with a block of exactly its length.
+    positions, offset = row(DRAW_BLOCK + 5, 0.5)
+    assert offset == 0 and draws._block.size == DRAW_BLOCK + 5
+    assert draws.bit_generator.state == ref.bit_generator.state

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -267,6 +268,76 @@ def test_run_simulation_noise_trace_follows_the_ramp():
     assert list(series.t) == [0, 25, 50, 75, 100]
     assert series.noise_trace[1] == 0.0
     assert series.noise_trace[3] == pytest.approx(25e-4)
+
+
+def test_run_simulation_records_the_state_after_every_kth_step():
+    params = SimParams(noise_schedule=NoiseSchedule(kind="constant", p0=0.05),
+                       max_steps=100, seed=4)
+    series, _ = run_simulation(params, record_every=7)
+    state = sim_core.init_state(params)
+    cc, ac = [state.c_max], [state.active_total()]
+    for t in range(1, 101):
+        sim_core.step(state, params)
+        if t % 7 == 0:
+            cc.append(state.c_max)
+            ac.append(state.active_total())
+    assert series.cluster_count.dtype == series.active_count.dtype == np.int64
+    assert (series.cluster_count.tolist(), series.active_count.tolist()) == (cc, ac)
+
+
+def reference_series_csv(series):
+    # Row by row from numpy scalars, as series.csv was first written.
+    rows = ["t,cluster_count,active_count,noise_p"]
+    for t, c, a, p in zip(series.t, series.cluster_count, series.active_count,
+                          series.noise_trace):
+        rows.append(f"{int(t)},{int(c)},{int(a)},{repr(float(p))}")
+    return "\n".join(rows) + "\n"
+
+
+def first_difference(got, want):
+    """None when two texts match, else the first differing line as
+    (line number, got, want), which keeps a failure report short."""
+    for i, pair in enumerate(itertools.zip_longest(got.split("\n"), want.split("\n"))):
+        if pair[0] != pair[1]:
+            return (i, *pair)
+    return None
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, harness.CSV_CHUNK_ROWS + 1])
+def test_series_csv_matches_row_by_row_across_chunk_bounds(extra):
+    rows = harness.CSV_CHUNK_ROWS + extra
+    ramp = builtin_config("fig12").ramp
+    # A thinned axis through the fig12 ramp's onset, so the noise reprs
+    # run from 0.0 to values like 8.750000000000001e-05.
+    t = np.arange(rows, dtype=np.int64) * 15 + 9_000
+    noise = np.array([sim_core.noise_at(ramp, v) for v in t.tolist()])
+    noise[::7] = 0.1 + 0.2
+    rng = np.random.default_rng(rows)
+    series = RunSeries(
+        t=t,
+        cluster_count=rng.integers(1, 201, rows),
+        active_count=rng.integers(0, 201, rows),
+        params_snapshot=None,
+        noise_trace=noise,
+    )
+    text = harness._series_csv(series)
+    assert first_difference(text, reference_series_csv(series)) is None
+    assert text.count("\n") == rows + 1
+    assert "0.30000000000000004" in text and "8.750000000000001e-05" in text
+    # An integer p0 from a JSON config gives an integer noise trace.
+    series.noise_trace = np.zeros(rows, dtype=np.int64)
+    assert first_difference(harness._series_csv(series), reference_series_csv(series)) is None
+
+
+def test_series_csv_of_a_thinned_ramp_run_matches_row_by_row():
+    config = builtin_config("fig12")
+    ramp = dataclasses.replace(config.ramp, onset_step=1_000)
+    steps = 3 * (2 * harness.CSV_CHUNK_ROWS + 1)
+    params = dataclasses.replace(config.sim, noise_schedule=ramp, max_steps=steps)
+    series, _ = run_simulation(params, record_every=3)
+    assert len(series.t) == 2 * harness.CSV_CHUNK_ROWS + 2
+    assert np.count_nonzero(series.noise_trace) > harness.CSV_CHUNK_ROWS
+    assert first_difference(harness._series_csv(series), reference_series_csv(series)) is None
 
 
 def test_step_phases_stay_separate_calls(monkeypatch):

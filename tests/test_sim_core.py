@@ -411,6 +411,21 @@ def test_flip_keeps_counts_exact_and_undoes_itself():
     assert (state.c1, state.act) == (before.c1, before.act)
 
 
+def test_flip_subtracts_its_base_from_every_index():
+    # Draws.hits serves cached noise rows as block indices plus the row's
+    # block offset; flip takes both and must act as on the row indices.
+    state = make_state([(4, 2), (1, 1), (3, 0), (1, 0), (4, 4)])
+    expected = state.clone()
+    idx = [0, 3, 4, 6, 7, 8, 9, 12]
+    assert state.flip([i + 610 for i in idx], 610) == expected.flip(idx) == len(idx)
+    assert np.array_equal(state.m1, expected.m1)
+    assert (state.c1, state.act, state.n_active) == (expected.c1, expected.act,
+                                                      expected.n_active)
+    assert state.flip(range(3, 6), 3) == 3  # the p >= 1 form, at a nonzero base
+    assert state.m1[:3].tolist() == (1 - expected.m1[:3]).tolist()
+    assert audit_consistency(state) == []
+
+
 # ----------------------------------------------------------- properties
 
 
