@@ -44,6 +44,9 @@ _WALK_CHUNK = 64
 # Shortest series psd accepts, and fewest usable bins a slope fit takes.
 PSD_MIN_SAMPLES = 256
 SLOPE_MIN_BINS = 8
+# Most samples of Hann segments psd transforms in one batch: the fig11
+# and fig9c series fit in one, and a 2**16-sample series takes 8.
+PSD_BATCH_SAMPLES = 1 << 15
 
 
 @dataclass
@@ -91,9 +94,12 @@ def radix2_dft(x: np.ndarray) -> np.ndarray:
     """Iterative radix-2 Cooley-Tukey transform along the last axis.
 
     The length must be a power of two.  Matches the plain transform
-    definition X[k] = sum_n x[n] exp(-2j pi k n / N).
+    definition X[k] = sum_n x[n] exp(-2j pi k n / N).  The input is
+    bit-reversed once into a C-ordered complex copy, and every stage's
+    butterflies write into that copy, so the working memory is the
+    result plus half of it, and the caller's array is never written.
     """
-    x = np.asarray(x, dtype=np.complex128)
+    x = np.asarray(x)
     n = x.shape[-1]
     if n == 0 or n & (n - 1):
         raise ValueError(f"transform length must be a power of two, got {n}")
@@ -102,15 +108,17 @@ def radix2_dft(x: np.ndarray) -> np.ndarray:
     rev = np.zeros(n, dtype=np.int64)
     for b in range(bits):
         rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    y = x[..., rev]
+    y = np.take(x, rev, axis=-1).astype(np.complex128, copy=False)
     half = 1
     while half < n:
         w = np.exp(-1j * np.pi * np.arange(half) / half)
-        y = y.reshape(x.shape[:-1] + (n // (2 * half), 2, half))
-        t = y[..., 1, :] * w
-        y = np.concatenate([y[..., 0, :] + t, y[..., 0, :] - t], axis=-1)
+        pairs = y.reshape(y.shape[:-1] + (n // (2 * half), 2, half))
+        a, b = pairs[..., 0, :], pairs[..., 1, :]
+        t = b * w
+        np.subtract(a, t, out=b)
+        a += t
         half *= 2
-    return y.reshape(x.shape)
+    return y
 
 
 def psd(series: np.ndarray) -> Spectrum:
@@ -121,6 +129,12 @@ def psd(series: np.ndarray) -> Spectrum:
     most a quarter of the series, and squared magnitudes are averaged.
     Normalization makes the one-sided density integrate to the series
     variance (DC excluded); input shorter than PSD_MIN_SAMPLES raises.
+
+    Segments are views into the centred series, transformed a batch of
+    at most PSD_BATCH_SAMPLES samples (or one segment, if longer) at a
+    time, so the transform's working memory does not grow with the
+    series.  The squared magnitudes fill one C-ordered segments x bins
+    array whose mean over segments sums them in segment order.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
@@ -133,10 +147,13 @@ def psd(series: np.ndarray) -> Spectrum:
     n_segments = (n - seg) // hop + 1
     x = x - x.mean()
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg) / seg)
-    starts = hop * np.arange(n_segments)
-    frames = x[starts[:, None] + np.arange(seg)[None, :]] * window
-    spec = radix2_dft(frames)[:, : seg // 2 + 1]
-    raw = (spec.real**2 + spec.imag**2).mean(axis=0)
+    frames = np.lib.stride_tricks.sliding_window_view(x, seg)[::hop]
+    rows = max(1, PSD_BATCH_SAMPLES // seg)
+    sq = np.empty((n_segments, seg // 2 + 1))
+    for lo in range(0, n_segments, rows):
+        spec = radix2_dft(frames[lo:lo + rows] * window)[:, : seg // 2 + 1]
+        np.add(spec.real**2, spec.imag**2, out=sq[lo:lo + rows])
+    raw = sq.mean(axis=0)
     power = raw / (window**2).sum()  # density at unit sample rate
     power[1:-1] *= 2.0  # fold the negative frequencies, Nyquist excluded
     freq = np.arange(1, seg // 2 + 1) / seg

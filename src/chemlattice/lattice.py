@@ -440,22 +440,28 @@ def meet_join(lat: Lattice, x: Iterable[int], y: Iterable[int]) -> tuple:
 
 
 def _scan_cover(lat: Lattice) -> list:
+    """Covering pairs (x, y), ascending in x and then in y, read off
+    strict up-sets held as one Python int per element: y covers x iff y
+    lies above x and above no other element above x."""
     n = len(lat)
     if n > HASSE_MAX_ELEMENTS:
         raise CapacityError(
             f"Hasse extraction is capped at {HASSE_MAX_ELEMENTS} elements (got {n})"
         )
-    sub = lat._subset_matrix
-    pc = np.array([int(m).bit_count() for m in lat._masks])
+    strict = lat._subset_matrix.copy()
+    np.fill_diagonal(strict, False)
+    packed = np.packbits(strict, axis=1, bitorder="little")
+    ups = [int.from_bytes(row.tobytes(), "little") for row in packed]
     pairs = []
-    for x in range(n):
-        ups = np.flatnonzero(sub[x] & (pc > pc[x]))
-        if ups.size == 0:
-            continue
-        s = sub[np.ix_(ups, ups)]
-        np.fill_diagonal(s, False)
-        minimal = ~s.any(axis=0)
-        pairs.extend((x, y) for y in ups[minimal].tolist())
+    for x, up in enumerate(ups):
+        above = 0
+        for z in np.flatnonzero(strict[x]).tolist():
+            above |= ups[z]
+        covers = up & ~above
+        while covers:
+            low = covers & -covers
+            pairs.append((x, low.bit_length() - 1))
+            covers ^= low
     return pairs
 
 

@@ -2,11 +2,15 @@
 
 The transform is validated against a direct quadratic-time evaluation
 of the DFT sum written here, and against numpy's FFT as a second
-independent reference.  The event scanner, which jumps between the
-samples that can open an event, is compared with the per-sample scan it
-replaced, kept here as `reference_scan_trace`.
+independent reference.  The in-place transform and the batched Welch
+average must reproduce, byte for byte, the concatenating transform and
+the all-frames average they replaced, kept here as
+`reference_radix2_dft` and `reference_psd`.  The event scanner, which
+jumps between the samples that can open an event, is compared with the
+per-sample scan it replaced, kept here as `reference_scan_trace`.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +19,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from chemlattice.analysis import (
     PLATEAU_LEVEL_FRACTION,
+    PSD_BATCH_SAMPLES,
+    PSD_MIN_SAMPLES,
     PLATEAU_TIME_FRACTION,
     RETRACE_FRACTION,
     RunSeries,
@@ -456,3 +462,131 @@ def test_scan_matches_the_reference_on_simulated_traces():
     series, _ = run_simulation(cell)
     events = assert_scans_agree(series.active_count, 25, 25, 160)
     assert any(e.kind == "sawtooth" for e in events)
+
+
+# ------------------------------- transform and psd vs the concatenating path
+
+
+def reference_radix2_dft(x):
+    """The transform as it was before the butterflies went in place: a
+    new array per stage, built by concatenating the two halves."""
+    x = np.asarray(x, dtype=np.complex128)
+    n = x.shape[-1]
+    bits = n.bit_length() - 1
+    idx = np.arange(n)
+    rev = np.zeros(n, dtype=np.int64)
+    for b in range(bits):
+        rev |= ((idx >> b) & 1) << (bits - 1 - b)
+    y = x[..., rev]
+    half = 1
+    while half < n:
+        w = np.exp(-1j * np.pi * np.arange(half) / half)
+        y = y.reshape(x.shape[:-1] + (n // (2 * half), 2, half))
+        t = y[..., 1, :] * w
+        y = np.concatenate([y[..., 0, :] + t, y[..., 0, :] - t], axis=-1)
+        half *= 2
+    return y.reshape(x.shape)
+
+
+def reference_psd(series):
+    """Welch average as it was before batching: every Hann frame
+    gathered by one index matrix and transformed at once."""
+    x = np.asarray(series, dtype=np.float64)
+    n = x.size
+    seg = 1 << int(np.floor(np.log2(n // 4)))
+    hop = seg // 2
+    n_segments = (n - seg) // hop + 1
+    x = x - x.mean()
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg) / seg)
+    starts = hop * np.arange(n_segments)
+    frames = x[starts[:, None] + np.arange(seg)[None, :]] * window
+    spec = reference_radix2_dft(frames)[:, : seg // 2 + 1]
+    raw = (spec.real**2 + spec.imag**2).mean(axis=0)
+    power = raw / (window**2).sum()
+    power[1:-1] *= 2.0
+    freq = np.arange(1, seg // 2 + 1) / seg
+    return Spectrum(freq=freq, power=power[1:], n_segments=n_segments)
+
+
+def make_trace(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "integer":
+        return rng.integers(0, 201, n)
+    if kind == "float":
+        return rng.normal(size=n).cumsum()
+    return np.full(n, rng.uniform(-5.0, 5.0))  # its mean need not be exact
+
+
+def assert_psd_matches_reference(trace):
+    got, want = psd(trace), reference_psd(trace)
+    assert got.n_segments == want.n_segments
+    assert got.freq.tobytes() == want.freq.tobytes()
+    assert got.power.tobytes() == want.power.tobytes()
+
+
+PSD_LENGTHS = st.one_of(
+    st.integers(PSD_MIN_SAMPLES, 70_000),
+    st.integers(8, 16).map(lambda k: 1 << k),
+    st.integers(8, 16).map(lambda k: (1 << k) + 1),
+)
+
+
+@given(n=PSD_LENGTHS, kind=st.sampled_from(["integer", "float", "constant"]),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=1 << 16, kind="integer", seed=0)
+@example(n=(1 << 16) + 1, kind="float", seed=1)
+@example(n=70_000, kind="constant", seed=2)
+@example(n=PSD_MIN_SAMPLES, kind="float", seed=3)
+@settings(max_examples=60, deadline=None)
+def test_psd_and_transform_match_the_reference_bytes(n, kind, seed):
+    trace = make_trace(kind, n, seed)
+    assert_psd_matches_reference(trace)
+    head = trace[: 1 << (n.bit_length() - 1)]
+    assert radix2_dft(head).tobytes() == reference_radix2_dft(head).tobytes()
+
+
+@pytest.mark.parametrize("n, full_batches, extra_segments",
+                         [(18_432, 1, 0), (20_480, 1, 1), (40_960, 2, 1)])
+def test_psd_matches_the_reference_across_batch_bounds(n, full_batches, extra_segments):
+    seg = 1 << int(np.floor(np.log2(n // 4)))
+    rows = PSD_BATCH_SAMPLES // seg
+    trace = make_trace("float", n, n)
+    assert reference_psd(trace).n_segments == full_batches * rows + extra_segments
+    assert_psd_matches_reference(trace)
+
+
+def _dft_inputs():
+    rng = np.random.default_rng(11)
+    cube = rng.normal(size=(3, 4, 64)) + 1j * rng.normal(size=(3, 4, 64))
+    return {
+        "1-D real": rng.normal(size=256),
+        "1-D integer": rng.integers(-50, 50, 128),
+        "2-D complex": cube[0].copy(),
+        "3-D complex": cube,
+        "F-ordered": np.asfortranarray(rng.normal(size=(5, 32)) + 1j),
+        "strided": rng.normal(size=(4, 128))[:, ::2],
+        "transposed 3-D": cube.transpose(1, 0, 2),
+        "length 1": rng.normal(size=(3, 1)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_dft_inputs()))
+def test_transform_matches_the_reference_and_leaves_its_input(name):
+    x = _dft_inputs()[name]
+    before = x.copy()
+    got = radix2_dft(x)
+    assert got.shape == x.shape and got.dtype == np.complex128
+    assert got.tobytes() == reference_radix2_dft(x).tobytes()
+    assert x.tobytes() == before.tobytes()
+
+
+def test_psd_working_memory_does_not_scale_with_the_series():
+    # All 15 frames of a 2**16-sample series at once peaked at 9.75 MiB.
+    x = np.random.default_rng(5).normal(size=65_536).cumsum()
+    tracemalloc.start()
+    try:
+        psd(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20

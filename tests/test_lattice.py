@@ -705,3 +705,36 @@ BLOCKS88 = enumerate_lattice(build_two_block_relation([8, 8]))
 @settings(max_examples=300, deadline=None)
 def test_tables_match_the_argmax_reference(lat):
     assert_tables_match_argmax(lat)
+
+
+def reference_scan_cover(lat) -> list:
+    """The per-element block scan the up-set scan replaced: y covers x
+    iff y is a strict superset of x and no other strict superset of x
+    lies below y."""
+    n = len(lat)
+    sub = lat._subset_matrix
+    pc = np.array([int(m).bit_count() for m in lat._masks])
+    pairs = []
+    for x in range(n):
+        ups = np.flatnonzero(sub[x] & (pc > pc[x]))
+        if ups.size == 0:
+            continue
+        s = sub[np.ix_(ups, ups)]
+        np.fill_diagonal(s, False)
+        minimal = ~s.any(axis=0)
+        pairs.extend((x, y) for y in ups[minimal].tolist())
+    return pairs
+
+
+FIG4_LATTICE = enumerate_lattice(build_two_block_relation((3, 3, 2), (3,)))
+FIG5_LATTICE = enumerate_lattice(build_two_block_relation([4, 4]))
+
+
+@given(lat=lattices())
+@example(lat=DIAG9)
+@example(lat=BLOCKS88)
+@example(lat=FIG4_LATTICE)
+@example(lat=FIG5_LATTICE)
+@settings(max_examples=300, deadline=None)
+def test_cover_scan_matches_the_block_reference(lat):
+    assert lattice_module._scan_cover(lat) == reference_scan_cover(lat)
