@@ -13,21 +13,31 @@ prints each side's median and quartiles, the pairs the change won
 (ties count for neither side), and whether the median moved the better
 way by more than the parent's interquartile range.  A gain holds when
 the change won at least nine tenths of the pairs and that move exceeds
-the parent's IQR.  Runs that fail or report ``correct: false`` are
-listed and leave their pair out.  Exits 1 when any run failed.
+the parent's IQR.  ``run.py`` scales ``run_s`` by a speed scale taken
+from reference chunks timed in the same run; the script reads the
+unscaled wall median and the scale from the run's ``wall medians before
+scaling`` line, compares ``run_s_unscaled`` the same way, and prints
+every run's speed scale, so a gain can be told apart from a difference
+in scale.  Runs that fail or report ``correct: false`` are listed and
+leave their pair out.  Exits 1 when any run failed.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
+UNSCALED = re.compile(r"wall medians before scaling: run (\S+) s, setup \S+ s; "
+                      r"speed scale (\S+) ")
+
 
 def run_once(root: Path, workload: str, seed: int, seconds: float):
-    """The JSON result of one benchmark run in ``root``, or an error text."""
+    """The metric values of one benchmark run in ``root``, with its unscaled
+    ``run_s`` and speed scale when the run printed them, or an error text."""
     cmd = [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     try:
@@ -44,7 +54,12 @@ def run_once(root: Path, workload: str, seed: int, seconds: float):
         return None, f"last line is not JSON: {lines[-1][:200]}"
     if not result.get("correct"):
         return None, f"correct false, {result.get('failed')} of {result.get('attempted')} failed"
-    return result, None
+    values = {name: m["value"] for name, m in result["metrics"].items()}
+    match = UNSCALED.search(proc.stdout)
+    if match:
+        values["run_s_unscaled"] = float(match[1])
+        values["speed_scale"] = float(match[2])
+    return values, None
 
 
 def quartiles(values: list) -> tuple:
@@ -67,6 +82,7 @@ def main(argv=None) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
     lower_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
+    lower_better["run_s_unscaled"] = True
 
     pairs, failures = [], []
     for i in range(args.pairs):
@@ -78,8 +94,10 @@ def main(argv=None) -> int:
             if error:
                 failures.append(f"pair {i} seed {seed} {side}: {error}")
             else:
-                got[side] = {name: m["value"] for name, m in result["metrics"].items()}
-        line = "  ".join(f"{side} run_s {got[side].get('run_s', float('nan')):.4f}"
+                got[side] = result
+        line = "  ".join(f"{side} run_s {got[side].get('run_s', float('nan')):.4f} "
+                         f"(unscaled {got[side].get('run_s_unscaled', float('nan')):.4f}, "
+                         f"scale {got[side].get('speed_scale', float('nan')):.4g})"
                          for side in order if side in got)
         print(f"pair {i} seed {seed} ({order[0]} first): {line}", file=sys.stderr)
         if len(got) == 2:
@@ -105,15 +123,19 @@ def main(argv=None) -> int:
                          "change_median": cmed, "change_quartiles": [cq1, cq3],
                          "wins": wins, "losses": losses, "pairs": len(pairs),
                          "gain_exceeds_parent_iqr": beyond, "gain_holds": holds}
-        print(f"  {name:12s} parent {pmed:.4f} ({pq1:.4f}-{pq3:.4f})  "
+        print(f"  {name:14s} parent {pmed:.4f} ({pq1:.4f}-{pq3:.4f})  "
               f"change {cmed:.4f} ({cq1:.4f}-{cq3:.4f})  "
               f"{(cmed - pmed) / pmed:+.1%}  change better in {wins}/{len(pairs)} "
               f"(worse in {losses})  gain beyond parent IQR {pq3 - pq1:.4f}: "
               f"{'yes' if beyond else 'no'}  gain holds: {'yes' if holds else 'no'}")
+    scales = {side: [p[side].get("speed_scale") for p in pairs] for side in roots}
+    for side, values in scales.items():
+        print(f"  speed scale per pair, {side}: "
+              + " ".join("-" if v is None else f"{v:.3f}" for v in values))
     for failure in failures:
         print(f"  FAIL {failure}")
     print(json.dumps({"workload": args.workload, "pairs": pairs, "failures": failures,
-                      "metrics": summary}))
+                      "metrics": summary, "speed_scales": scales}))
     return 1 if failures else 0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -90,6 +91,26 @@ class WaveEvent:
     amplitude: float
 
 
+@lru_cache(maxsize=8)
+def _dft_tables(n: int) -> tuple:
+    """The bit-reversal permutation of 0..n-1 and each stage's twiddles
+    for a length-n transform, as read-only arrays shared by every call at
+    that length."""
+    bits = n.bit_length() - 1
+    idx = np.arange(n)
+    rev = np.zeros(n, dtype=np.int64)
+    for b in range(bits):
+        rev |= ((idx >> b) & 1) << (bits - 1 - b)
+    tables = [rev]
+    half = 1
+    while half < n:
+        tables.append(np.exp(-1j * np.pi * np.arange(half) / half))
+        half *= 2
+    for table in tables:
+        table.flags.writeable = False
+    return tables[0], tuple(tables[1:])
+
+
 def radix2_dft(x: np.ndarray) -> np.ndarray:
     """Iterative radix-2 Cooley-Tukey transform along the last axis.
 
@@ -98,20 +119,16 @@ def radix2_dft(x: np.ndarray) -> np.ndarray:
     bit-reversed once into a C-ordered complex copy, and every stage's
     butterflies write into that copy, so the working memory is the
     result plus half of it, and the caller's array is never written.
+    The permutation and twiddles are built once per length.
     """
     x = np.asarray(x)
     n = x.shape[-1]
     if n == 0 or n & (n - 1):
         raise ValueError(f"transform length must be a power of two, got {n}")
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.int64)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
+    rev, twiddles = _dft_tables(n)
     y = np.take(x, rev, axis=-1).astype(np.complex128, copy=False)
     half = 1
-    while half < n:
-        w = np.exp(-1j * np.pi * np.arange(half) / half)
+    for w in twiddles:
         pairs = y.reshape(y.shape[:-1] + (n // (2 * half), 2, half))
         a, b = pairs[..., 0, :], pairs[..., 1, :]
         t = b * w
@@ -130,11 +147,12 @@ def psd(series: np.ndarray) -> Spectrum:
     Normalization makes the one-sided density integrate to the series
     variance (DC excluded); input shorter than PSD_MIN_SAMPLES raises.
 
-    Segments are views into the centred series, transformed a batch of
+    Segments are views into the series, centred and transformed a batch of
     at most PSD_BATCH_SAMPLES samples (or one segment, if longer) at a
     time, so the transform's working memory does not grow with the
-    series.  The squared magnitudes fill one C-ordered segments x bins
-    array whose mean over segments sums them in segment order.
+    series.  Each segment's squared magnitudes are added, in segment
+    order, into one bins-long sum, which is then divided by the segment
+    count: the same sums, in the same order, as a mean over segments.
     """
     x = np.asarray(series, dtype=np.float64)
     if x.ndim != 1:
@@ -145,15 +163,16 @@ def psd(series: np.ndarray) -> Spectrum:
     seg = 1 << int(np.floor(np.log2(n // 4)))
     hop = seg // 2
     n_segments = (n - seg) // hop + 1
-    x = x - x.mean()
+    mean = x.mean()
     window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(seg) / seg)
     frames = np.lib.stride_tricks.sliding_window_view(x, seg)[::hop]
     rows = max(1, PSD_BATCH_SAMPLES // seg)
-    sq = np.empty((n_segments, seg // 2 + 1))
+    total = np.zeros(seg // 2 + 1)
     for lo in range(0, n_segments, rows):
-        spec = radix2_dft(frames[lo:lo + rows] * window)[:, : seg // 2 + 1]
-        np.add(spec.real**2, spec.imag**2, out=sq[lo:lo + rows])
-    raw = sq.mean(axis=0)
+        spec = radix2_dft((frames[lo:lo + rows] - mean) * window)[:, : seg // 2 + 1]
+        for row in spec.real**2 + spec.imag**2:
+            total += row
+    raw = total / n_segments
     power = raw / (window**2).sum()  # density at unit sample rate
     power[1:-1] *= 2.0  # fold the negative frequencies, Nyquist excluded
     freq = np.arange(1, seg // 2 + 1) / seg

@@ -55,7 +55,7 @@ def active_ratio(state: "SimState", cluster: int) -> float:
     c_max = len(state.c0)
     if not 0 <= cluster < c_max:
         raise ValueError(f"cluster index {cluster} outside 0..{c_max - 1}")
-    return state.c1[cluster] / state.c0[cluster]
+    return state.active_of[state.order[cluster]] / state.c0[cluster]
 
 
 def target_activity(r_a: float) -> int:
@@ -84,8 +84,10 @@ def coherence_kick(state: "SimState", r_a: float, p_coh: float, theta_a: float) 
             f"[{theta_a}, {1.0 - theta_a}]"
         )
     target = target_activity(r_a)
-    selected = state.rng.below(state.m0.shape[0], p_coh)
-    return state.settle(target, (~selected & (state.m1 != target)).nonzero()[0].tolist())
+    flags = state.flags
+    selected = state.rng.below(len(flags), p_coh)
+    return state.settle(target, [i for i in (~selected).nonzero()[0].tolist()
+                                 if flags[i] != target])
 
 
 def run_interplay(state: "SimState", params: "SimParams") -> InterplayOutcome:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import mul
 from typing import Literal, NamedTuple, Optional
@@ -319,30 +319,30 @@ def _word_threshold(p: float) -> int:
     return math.ceil(p * _TWO53) << 11
 
 
-@dataclass(slots=True)
 class SimState:
-    """Mutable simulation state.
+    """Mutable simulation state, held in Python lists.
 
-    ``m0[i]`` is molecule i's cluster index, ``m1[i]`` its activity bit.
-    ``c0[n]``/``c1[n]`` are cluster n's size and active-member count, and
-    ``cl[n]`` lists its members in insertion order (merges append the
-    absorbed cluster's members; splits cut the list at the drawn point).
-    Cluster indices are dense 0..c_max-1; removing cluster q shifts every
-    index above q down by one.
+    Each cluster has a stable id, kept until a merge absorbs it; freed ids
+    go on the ``free`` stack, and a split takes the last one.  Per id,
+    ``size_of``, ``active_of`` and ``members_of`` hold the cluster's size,
+    active-member count and members in insertion order (merges append the
+    absorbed cluster's members; splits cut the list at the drawn point);
+    a free id's entries are stale.  ``cluster_of[i]`` is molecule i's
+    cluster id and ``flags[i]`` its activity bit.  The draws and reports
+    speak in *positions*: ``order`` lists the live ids by position, dense
+    0..c_max-1, and ``c0`` their sizes.  A merge deletes the absorbed
+    position from both, which shifts every position above it down by one
+    without relabelling a molecule; a split appends its new cluster at the
+    end.  ``c1``, ``cl``, ``m0`` and ``m1`` (active counts, members,
+    molecule positions and flags by position) are built on each read.
 
-    Two derived tables, indexed by cluster size 0..N, feed the modal
-    cluster lookup: ``hist[s]`` is the number of clusters of size s and
-    ``act[s]`` the active molecules summed over those clusters.  They are
-    built from ``c0``/``c1`` on construction (so ``clone`` rebuilds them)
-    and every mutator in this module keeps them exact.  ``max_size`` is
-    the largest cluster size, so the modal lookup scans ``hist`` only up
-    to it.  Activity flags change only through ``flip`` (sparse: each
-    listed molecule toggles) or ``settle`` (the whole population to one
-    value, with listed exceptions); both keep ``c1``, ``act`` and
-    ``n_active``, the running count of active molecules, exact.  Code
-    that changes cluster sizes must build a new state.  ``m0`` and ``m1``
-    are changed in place and never rebound, because the mutators walk
-    them through memoryviews taken on construction.
+    ``hist[s]`` and ``act[s]``, for sizes s in 0..N, are the number of
+    clusters of size s and their active molecules summed; ``max_size`` is
+    the largest size, so the modal lookup scans ``hist`` only up to it.
+    The constructor takes the members by position and the flags and
+    derives the rest, which every mutator here keeps exact.  Flags change
+    only through ``flip`` (each listed molecule toggles) or ``settle``
+    (everyone to one value, with listed exceptions).
 
     ``rng`` serves the step's draws: ``integers(m)`` for the merge and
     split, ``hits(n, p)`` for the noise and ``below(n, p)`` for the kick.
@@ -350,58 +350,75 @@ class SimState:
     object is kept as it is and needs only the methods its phases call.
     """
 
-    t: int
-    m0: np.ndarray
-    m1: np.ndarray
-    c0: list
-    c1: list
-    cl: list
-    rng: Draws
-    hist: list = field(init=False)
-    act: list = field(init=False)
-    max_size: int = field(init=False)
-    n_active: int = field(init=False)
-    _clusters: memoryview = field(init=False, repr=False, compare=False)
-    _flags: memoryview = field(init=False, repr=False, compare=False)
+    __slots__ = ("t", "rng", "order", "c0", "size_of", "active_of", "members_of",
+                 "free", "cluster_of", "flags", "hist", "act", "max_size", "n_active")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.rng, np.random.Generator):
-            self.rng = Draws(self.rng)
-        self.hist = _sum_by_size(self.c0, repeat(1), self.n_molecules)
-        self.act = _sum_by_size(self.c0, self.c1, self.n_molecules)
+    def __init__(self, members, flags, rng, t: int = 0) -> None:
+        self.t = t
+        self.rng = Draws(rng) if isinstance(rng, np.random.Generator) else rng
+        flags = self.flags = list(map(int, flags))
+        n, cm = len(flags), len(members)
+        self.members_of = list(map(list, members)) + [None] * (n - cm)
+        self.size_of = list(map(len, members)) + [0] * (n - cm)
+        active_of = self.active_of = [0] * len(self.size_of)
+        cluster_of = self.cluster_of = [-1] * n
+        for k, m in enumerate(members):
+            for i in m:
+                cluster_of[i] = k
+                active_of[k] += flags[i]
+        self.order = list(range(cm))
+        self.free = list(range(n - 1, cm - 1, -1))
+        self.c0 = self.size_of[:cm]
+        self.hist = _sum_by_size(self.c0, repeat(1), n)
+        self.act = _sum_by_size(self.c0, self.active_of, n)
         self.max_size = max(self.c0, default=0)
-        self.n_active = int(np.count_nonzero(self.m1))
-        self._clusters = memoryview(self.m0)
-        self._flags = memoryview(self.m1)
+        self.n_active = sum(self.flags)
 
     @property
     def n_molecules(self) -> int:
-        return self.m0.shape[0]
+        return len(self.flags)
 
     @property
     def c_max(self) -> int:
-        return len(self.c0)
+        return len(self.order)
+
+    @property
+    def c1(self) -> list:
+        return [self.active_of[k] for k in self.order]
+
+    @property
+    def cl(self) -> list:
+        return [list(self.members_of[k]) for k in self.order]
+
+    @property
+    def m0(self) -> np.ndarray:
+        position = {k: p for p, k in enumerate(self.order)}
+        return np.array([position.get(k, -1) for k in self.cluster_of], dtype=np.int32)
+
+    @property
+    def m1(self) -> np.ndarray:
+        return np.array(self.flags, dtype=np.int8)
 
     def flip(self, idx, base: int = 0) -> int:
         """Toggle the activity of the distinct molecules ``i - base`` for
         ``i`` in ``idx``, as ``Draws.hits`` returns them; each flip moves
         its cluster's active count, the ``act`` table and ``n_active`` by
         one.  Returns the number of flips."""
-        clusters, flags = self._clusters, self._flags
-        c0, c1, act = self.c0, self.c1, self.act
+        cluster_of, flags = self.cluster_of, self.flags
+        size_of, active_of, act = self.size_of, self.active_of, self.act
         n_active = self.n_active
         for i in idx:
             i -= base
-            k = clusters[i]
+            k = cluster_of[i]
             if flags[i]:
                 flags[i] = 0
-                c1[k] -= 1
-                act[c0[k]] -= 1
+                active_of[k] -= 1
+                act[size_of[k]] -= 1
                 n_active -= 1
             else:
                 flags[i] = 1
-                c1[k] += 1
-                act[c0[k]] += 1
+                active_of[k] += 1
+                act[size_of[k]] += 1
                 n_active += 1
         self.n_active = n_active
         return len(idx)
@@ -409,29 +426,30 @@ class SimState:
     def settle(self, value: int, keep: list) -> int:
         """Set every activity flag to ``value`` (0 or 1) except those of
         ``keep``, a list of distinct molecules that already hold the other
-        value.  ``c1`` and ``act`` are rebuilt for the uniform population
-        and then moved by one per kept molecule, so the cost grows with
-        the number of clusters and ``len(keep)``, not with the number of
-        flags changed.  Returns that number."""
-        n = self.m0.shape[0]
+        value.  The active counts and ``act`` are rebuilt for the uniform
+        population and then moved by one per kept molecule, so the cost
+        grows with the number of ids and ``len(keep)``.  The flag list is
+        written in place.  Returns the number of flags changed."""
+        flags = self.flags
+        n = len(flags)
         at_value = self.n_active if value else n - self.n_active
-        c0, c1, act = self.c0, self.c1, self.act
+        size_of, active_of, act = self.size_of, self.active_of, self.act
         top = self.max_size + 1  # act is 0 above the largest size
-        self.m1.fill(value)  # in place: _flags stays a view of m1
+        flags[:] = [value] * n
         if value:
-            c1[:] = c0
+            active_of[:] = size_of
             act[:top] = map(mul, range(top), self.hist)
         else:
-            c1[:] = [0] * len(c0)
+            active_of[:] = [0] * len(active_of)
             act[:top] = [0] * top
         other = 1 - value
         delta = other - value
-        clusters, flags = self._clusters, self._flags
+        cluster_of = self.cluster_of
         for i in keep:
-            k = clusters[i]
+            k = cluster_of[i]
             flags[i] = other
-            c1[k] += delta
-            act[c0[k]] += delta
+            active_of[k] += delta
+            act[size_of[k]] += delta
         self.n_active = len(keep) if other else n - len(keep)
         return n - len(keep) - at_value
 
@@ -441,16 +459,8 @@ class SimState:
     def clone(self) -> "SimState":
         """Deep copy that replays identically to the original.  The draw
         source is copied at its logical position (`Draws.clone`), which
-        touches no generator."""
-        return SimState(
-            t=self.t,
-            m0=self.m0.copy(),
-            m1=self.m1.copy(),
-            c0=list(self.c0),
-            c1=list(self.c1),
-            cl=[list(members) for members in self.cl],
-            rng=self.rng.clone(),
-        )
+        touches no generator.  The copy numbers its ids by position."""
+        return SimState(self.cl, self.flags, self.rng.clone(), self.t)
 
 
 class StepReport(NamedTuple):
@@ -469,15 +479,7 @@ class StepReport(NamedTuple):
 def init_state(params: SimParams) -> SimState:
     """All molecules start as inactive singleton clusters."""
     n = params.n_molecules
-    return SimState(
-        t=0,
-        m0=np.arange(n, dtype=np.int32),
-        m1=np.zeros(n, dtype=np.int8),
-        c0=[1] * n,
-        c1=[0] * n,
-        cl=[[i] for i in range(n)],
-        rng=np.random.default_rng(params.seed),
-    )
+    return SimState([[i] for i in range(n)], [0] * n, np.random.default_rng(params.seed))
 
 
 def _sum_by_size(sizes, values, n: int) -> list:
@@ -489,22 +491,21 @@ def _sum_by_size(sizes, values, n: int) -> list:
 
 
 def _merge_clusters(state: SimState, p: int, q: int) -> None:
-    # p < q; q's members join p, then q's slot is compacted away.
-    c0, c1, hist, act = state.c0, state.c1, state.hist, state.act
-    size_p, size_q, active_p, active_q = c0[p], c0[q], c1[p], c1[q]
-    members_q = state.cl[q]
-    clusters = state._clusters
+    # p < q; q's members join p's id, then q leaves the positions.
+    c0, hist, act = state.c0, state.hist, state.act
+    order, size_of, active_of = state.order, state.size_of, state.active_of
+    a, b = order[p], order[q]
+    size_p, size_q, active_p, active_q = c0[p], c0[q], active_of[a], active_of[b]
+    members_q = state.members_of[b]
+    cluster_of = state.cluster_of
     for i in members_q:
-        clusters[i] = p
-    state.cl[p].extend(members_q)
-    c0[p] = size_p + size_q
-    c1[p] = active_p + active_q
+        cluster_of[i] = a
+    state.members_of[a] += members_q
+    state.free.append(b)
+    size_of[a] = c0[p] = size_p + size_q
+    active_of[a] = active_p + active_q
     state.max_size = max(state.max_size, size_p + size_q)
-    del c0[q]
-    del c1[q]
-    del state.cl[q]
-    m0 = state.m0
-    m0 -= m0 > q
+    del c0[q], order[q]
     hist[size_p] -= 1
     hist[size_q] -= 1
     hist[size_p + size_q] += 1
@@ -531,29 +532,34 @@ def attempt_clustering(state: SimState, theta_c: float):
         q = rng.integers(cm)
     if p > q:
         p, q = q, p
-    c0, c1 = state.c0, state.c1
-    if not (c1[p] / c0[p] < theta_c and c1[q] / c0[q] < theta_c):
+    c0, order, active_of = state.c0, state.order, state.active_of
+    if not (active_of[order[p]] / c0[p] < theta_c
+            and active_of[order[q]] / c0[q] < theta_c):
         return None
     _merge_clusters(state, p, q)
     return (p, q)
 
 
-def _split_cluster(state: SimState, k: int, s: int) -> None:
-    # The first s members stay in k; the tail becomes a new last cluster.
-    c0, c1, hist, act = state.c0, state.c1, state.hist, state.act
-    size, active = c0[k], c1[k]
-    members = state.cl[k]
+def _split_cluster(state: SimState, a: int, s: int) -> int:
+    # The first s members stay in cluster a; the tail becomes a new
+    # cluster at the last position.  Returns a's position.
+    hist, act, size_of, active_of = state.hist, state.act, state.size_of, state.active_of
+    size, active = size_of[a], active_of[a]
+    members = state.members_of[a]
     tail = members[s:]
     del members[s:]
-    tail_active = sum(map(state._flags.__getitem__, tail))
-    clusters, new = state._clusters, len(c0)
+    tail_active = sum(map(state.flags.__getitem__, tail))
+    b = state.free.pop()
+    cluster_of = state.cluster_of
     for i in tail:
-        clusters[i] = new
-    state.cl.append(tail)
-    c0[k] = s
-    c0.append(size - s)
-    c1[k] = active - tail_active
-    c1.append(tail_active)
+        cluster_of[i] = b
+    state.members_of[b] = tail
+    size_of[a], size_of[b] = s, size - s
+    active_of[a], active_of[b] = active - tail_active, tail_active
+    k = state.order.index(a)
+    state.order.append(b)
+    state.c0[k] = s
+    state.c0.append(size - s)
     hist[size] -= 1
     hist[s] += 1
     hist[size - s] += 1
@@ -566,6 +572,7 @@ def _split_cluster(state: SimState, k: int, s: int) -> None:
     act[size] -= active
     act[s] += active - tail_active
     act[size - s] += tail_active
+    return k
 
 
 def attempt_declustering(state: SimState, theta_dec: float):
@@ -578,16 +585,14 @@ def attempt_declustering(state: SimState, theta_dec: float):
     uniform over the interior positions.
     """
     rng = state.rng
-    mol = rng.integers(state.m0.shape[0])
-    k = state._clusters[mol]
-    size = state.c0[k]
+    a = state.cluster_of[rng.integers(len(state.flags))]
+    size = state.size_of[a]
     if size < 2:
         return None
-    if not (state.c1[k] / size > theta_dec):
+    if not (state.active_of[a] / size > theta_dec):
         return None
     s = 1 + rng.integers(size - 1)
-    _split_cluster(state, k, s)
-    return (k, s)
+    return (_split_cluster(state, a, s), s)
 
 
 def apply_boundary_rules(state: SimState) -> str:
@@ -599,7 +604,7 @@ def apply_boundary_rules(state: SimState) -> str:
     happens.
     """
     cm = len(state.c0)
-    if cm == state.m0.shape[0]:
+    if cm == len(state.flags):
         state.settle(0, [])
         return "all_inactivated"
     if cm == 1:
@@ -616,7 +621,7 @@ def apply_noise(state: SimState, p: float) -> int:
     """
     if p <= 0.0:
         return 0
-    return state.flip(*state.rng.hits(state.m0.shape[0], p))
+    return state.flip(*state.rng.hits(len(state.flags), p))
 
 
 def step(state: SimState, params: SimParams) -> StepReport:
@@ -646,66 +651,62 @@ def step(state: SimState, params: SimParams) -> StepReport:
 
 
 def audit_consistency(state: SimState) -> list:
-    """Cross-check the redundant state arrays; returns violation strings.
+    """Cross-check the redundant state lists; returns violation strings.
 
-    Verifies cluster sizes against membership lists, active counts
-    against molecule flags, the molecule-to-cluster index map, that
-    every molecule appears exactly once, and the size tables ``hist``/
-    ``act`` and ``max_size`` against a rebuild from ``c0``/``c1``, and the
-    running ``n_active`` against the flags.  Never mutates the state; an
-    empty list means the invariants hold.
+    Verifies that the live ids (``order``) and the ``free`` stack hold
+    every id once, each cluster's size (``c0`` and ``size_of``) against
+    its membership list, its active count against the molecule flags,
+    each member's cluster id, that every molecule appears exactly once,
+    the size tables ``hist``/``act`` and ``max_size`` against a rebuild
+    from the sizes and active counts, and the running ``n_active``
+    against the flags.  Clusters are named by position.  Never mutates
+    the state; an empty list means the invariants hold.
     """
     out = []
     n = state.n_molecules
-    cm = state.c_max
+    order, c0 = state.order, state.c0
+    cm = len(order)
     if not (1 <= cm <= n):
         out.append(f"cluster count {cm} outside 1..{n}")
-    if not (len(state.c0) == len(state.c1) == len(state.cl)):
-        out.append(
-            f"bookkeeping lengths differ: c0={len(state.c0)} "
-            f"c1={len(state.c1)} cl={len(state.cl)}"
-        )
+    ids = len(state.size_of)
+    if (len(c0), len(state.active_of), len(state.members_of)) != (cm, ids, ids):
+        out.append(f"bookkeeping lengths differ: order={cm} c0={len(c0)} size_of={ids} "
+                   f"active_of={len(state.active_of)} members_of={len(state.members_of)}")
         return out
-    total = sum(state.c0)
+    if sorted(order + state.free) != list(range(ids)):
+        out.append(f"live and free cluster ids do not hold each of 0..{ids - 1} once")
+        return out
+    total = sum(c0)
     if total != n:
         out.append(f"cluster sizes sum to {total}, expected {n}")
-    bad_bits = np.flatnonzero((state.m1 != 0) & (state.m1 != 1))
-    for mol in bad_bits[:5]:
-        out.append(f"molecule {int(mol)}: activity {int(state.m1[mol])} not 0/1")
-    seen = np.zeros(n, dtype=np.int64)
-    for k in range(cm):
-        members = state.cl[k]
-        if state.c0[k] != len(members):
-            out.append(
-                f"cluster {k}: recorded size {state.c0[k]} != "
-                f"membership length {len(members)}"
-            )
+    flags = np.array(state.flags)
+    for mol in np.flatnonzero((flags != 0) & (flags != 1))[:5]:
+        out.append(f"molecule {int(mol)}: activity {int(flags[mol])} not 0/1")
+    c1 = state.c1
+    listed = []
+    for k, a in enumerate(order):
+        members = state.members_of[a]
+        if not c0[k] == state.size_of[a] == len(members):
+            out.append(f"cluster {k}: recorded size {c0[k]} (id {a}: {state.size_of[a]}) "
+                       f"!= membership length {len(members)}")
         inside = [m for m in members if 0 <= m < n]
         if len(inside) != len(members):
             out.append(f"cluster {k}: member index out of range")
-        for m in inside:
-            seen[m] += 1
-        active = int(state.m1[inside].sum()) if inside else 0
-        if state.c1[k] != active:
-            out.append(
-                f"cluster {k}: recorded active count {state.c1[k]} != recount {active}"
-            )
-        if not (0 <= state.c1[k] <= state.c0[k]):
-            out.append(
-                f"cluster {k}: active count {state.c1[k]} outside 0..{state.c0[k]}"
-            )
-        wrong = [m for m in inside if state.m0[m] != k]
+        listed += inside
+        active = int(flags[inside].sum()) if inside else 0
+        if c1[k] != active:
+            out.append(f"cluster {k}: recorded active count {c1[k]} != recount {active}")
+        if not (0 <= c1[k] <= c0[k]):
+            out.append(f"cluster {k}: active count {c1[k]} outside 0..{c0[k]}")
+        wrong = [m for m in inside if state.cluster_of[m] != a]
         if wrong:
-            out.append(
-                f"cluster {k}: member {wrong[0]} has cluster index "
-                f"{int(state.m0[wrong[0]])}"
-            )
+            out.append(f"cluster {k}: member {wrong[0]} has cluster id "
+                       f"{state.cluster_of[wrong[0]]}, not {a}")
     # A size outside 0..n cannot index the tables; the checks above
     # already report it.
-    if all(0 <= size <= n for size in state.c0):
-        for name, kept, values in (("hist", state.hist, repeat(1)),
-                                   ("act", state.act, state.c1)):
-            fresh = _sum_by_size(state.c0, values, n)
+    if all(0 <= size <= n for size in c0):
+        for name, kept, values in (("hist", state.hist, repeat(1)), ("act", state.act, c1)):
+            fresh = _sum_by_size(c0, values, n)
             if len(kept) != n + 1:
                 out.append(f"size table {name} has {len(kept)} entries, expected {n + 1}")
                 continue
@@ -715,17 +716,16 @@ def audit_consistency(state: SimState) -> list:
                     f"size table {name}[{size}] = {kept[size]} != "
                     f"rebuild from c0/c1 {fresh[size]}"
                 )
-    flagged = int(np.count_nonzero(state.m1))
+    flagged = int(np.count_nonzero(flags))
     if state.n_active != flagged:
         out.append(f"n_active {state.n_active} != active flags {flagged}")
-    largest = max(state.c0, default=0)
+    largest = max(c0, default=0)
     if state.max_size != largest:
         out.append(f"max_size {state.max_size} != largest cluster size {largest}")
-    missing = np.flatnonzero(seen == 0)
-    for mol in missing[:5]:
+    seen = np.bincount(np.array(listed, dtype=np.int64), minlength=n)
+    for mol in np.flatnonzero(seen == 0)[:5]:
         out.append(f"molecule {int(mol)} appears in no membership list")
-    dup = np.flatnonzero(seen > 1)
-    for mol in dup[:5]:
+    for mol in np.flatnonzero(seen > 1)[:5]:
         out.append(
             f"molecule {int(mol)} appears {int(seen[mol])} times across membership lists"
         )

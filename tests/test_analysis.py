@@ -582,11 +582,14 @@ def test_transform_matches_the_reference_and_leaves_its_input(name):
 
 def test_psd_working_memory_does_not_scale_with_the_series():
     # All 15 frames of a 2**16-sample series at once peaked at 9.75 MiB.
-    x = np.random.default_rng(5).normal(size=65_536).cumsum()
-    tracemalloc.start()
-    try:
-        psd(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * 2**20
+    # A centred copy of a 2**18-sample series and a segments x bins array
+    # of its squared magnitudes peaked at 9.50 MiB.
+    for n, bound_mib in ((1 << 16, 5), (1 << 18, 7.5)):
+        x = np.random.default_rng(5).normal(size=n).cumsum()
+        tracemalloc.start()
+        try:
+            psd(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound_mib * 2**20, (n, peak)

@@ -1,8 +1,11 @@
 """Tests for the modal-cluster coherence kick."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from chemlattice import harness, interplay
 from chemlattice.interplay import (
     active_ratio,
     coherence_kick,
@@ -136,3 +139,30 @@ def test_interplay_is_inert_without_noise():
         assert (ra.merged, ra.split, ra.boundary) == (rb.merged, rb.split, rb.boundary)
     assert np.array_equal(sa.m1, sb.m1)
     assert sa.c0 == sb.c0
+
+
+def test_only_the_pooled_reading_kicks_at_fig9c_parameters(monkeypatch):
+    """At fig9c's parameters, unpooled, the modal size is 1 at every step,
+    so the representative is a singleton whose active fraction is 0 or 1
+    and never in the mixed band; only the pooled reading, the active
+    fraction of all singletons, fires the kick."""
+    fig9c = harness.builtin_config("fig9c").sim
+    outcomes = []
+
+    def recording(state, params):
+        outcomes.append(run_interplay(state, params))
+        return outcomes[-1]
+
+    monkeypatch.setattr(interplay, "run_interplay", recording)
+    kicks, modal_sizes = {}, {}
+    for pooled in (False, True):
+        params = dataclasses.replace(fig9c, max_steps=10_000, pooled_modal_ratio=pooled)
+        outcomes.clear()
+        state = init_state(params)
+        for _ in range(params.max_steps):
+            step(state, params)
+        kicks[pooled] = sum(out.kicked for out in outcomes)
+        modal_sizes[pooled] = {out.mode_size for out in outcomes}
+    assert len(outcomes) == 10_000
+    assert (kicks[False], modal_sizes[False]) == (0, {1})
+    assert kicks[True] == 1168

@@ -35,26 +35,12 @@ class ScriptedRNG:
 def make_state(clusters, seed=0):
     """Build a consistent SimState from (size, n_active) pairs; the first
     n_active members of each cluster are active."""
-    m0, m1, c0, c1, cl = [], [], [], [], []
-    mol = 0
-    for k, (size, active) in enumerate(clusters):
+    members, flags = [], []
+    for size, active in clusters:
         assert 0 <= active <= size
-        members = list(range(mol, mol + size))
-        m0.extend([k] * size)
-        m1.extend([1] * active + [0] * (size - active))
-        c0.append(size)
-        c1.append(active)
-        cl.append(members)
-        mol += size
-    return SimState(
-        t=0,
-        m0=np.array(m0, dtype=np.int32),
-        m1=np.array(m1, dtype=np.int8),
-        c0=c0,
-        c1=c1,
-        cl=cl,
-        rng=np.random.default_rng(seed),
-    )
+        members.append(list(range(len(flags), len(flags) + size)))
+        flags.extend([1] * active + [0] * (size - active))
+    return SimState(members, flags, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------- init
@@ -357,10 +343,22 @@ def test_audit_fresh_state_clean():
 
 
 def test_audit_names_corrupted_cluster():
-    state = make_state([(3, 1), (2, 0)])
-    state.c1[1] = 7
+    # After the merge, position 1 holds id 2: the audit names positions.
+    state = make_state([(1, 0), (1, 0), (3, 1), (2, 0)])
+    state.rng = ScriptedRNG([0, 1])
+    assert attempt_clustering(state, 0.5) == (0, 1)
+    assert state.order == [0, 2, 3]
+    state.active_of[state.order[1]] = 7
     violations = audit_consistency(state)
     assert any("cluster 1" in v for v in violations)
+    state.active_of[2] = 1
+    assert audit_consistency(state) == []
+    state.cluster_of[3] = 0
+    assert audit_consistency(state) == ["cluster 1: member 3 has cluster id 0, not 2"]
+    state.cluster_of[3] = 2
+    state.free.append(3)
+    assert audit_consistency(state) == [
+        "live and free cluster ids do not hold each of 0..6 once"]
 
 
 def test_audit_names_stale_size_tables():
@@ -445,16 +443,16 @@ def test_settle_matches_flipping_the_complement(sizes, data):
     kept = set(keep)
     expected = state.clone()
     flips = expected.flip([i for i in holders if i not in kept])
-    m1 = state.m1
+    flags = state.flags
 
     assert state.settle(value, keep) == flips
-    assert state.m1 is m1
-    assert np.array_equal(state.m1, expected.m1)
+    assert state.flags is flags
+    assert state.flags == expected.flags
     assert (state.c1, state.act) == (expected.c1, expected.act)
-    assert state.n_active == expected.n_active == np.count_nonzero(state.m1)
+    assert state.n_active == expected.n_active == sum(state.flags)
     assert audit_consistency(state) == []
-    state.flip([0])  # the flag view still writes to m1
-    assert state.m1[0] != expected.m1[0]
+    state.flip([0])  # flip still writes the list settle wrote
+    assert flags[0] != expected.flags[0]
 
 
 cluster_specs = st.lists(
@@ -524,3 +522,111 @@ def test_every_step_preserves_invariants(params):
         assert sum(state.c0) == params.n_molecules
         delta = (report.split is not None) - (report.merged is not None)
         assert state.c_max - c_before == delta
+
+
+class PositionalModel:
+    """The state the plain positional way: cluster indices are dense, a
+    merge renumbers every molecule above q, and every count is recounted
+    from the flags."""
+
+    def __init__(self, clusters):
+        self.cl, self.m1 = [], []
+        for size, active in clusters:
+            self.cl.append(list(range(len(self.m1), len(self.m1) + size)))
+            self.m1.extend([1] * active + [0] * (size - active))
+        self.recount()
+
+    def recount(self):
+        self.c0 = [len(members) for members in self.cl]
+        self.c1 = [sum(self.m1[i] for i in members) for members in self.cl]
+        self.m0 = [0] * len(self.m1)
+        for k, members in enumerate(self.cl):
+            for i in members:
+                self.m0[i] = k
+
+    def merge(self, p, q):
+        self.cl[p].extend(self.cl.pop(q))
+        self.recount()
+
+    def split(self, k, s):
+        self.cl.append(self.cl[k][s:])
+        del self.cl[k][s:]
+        self.recount()
+
+    def flip(self, idx):
+        for i in idx:
+            self.m1[i] ^= 1
+        self.recount()
+
+    def settle(self, value, keep):
+        self.m1 = [value] * len(self.m1)
+        for i in keep:
+            self.m1[i] = 1 - value
+        self.recount()
+
+    def assert_matches(self, state):
+        assert (state.c0, state.c1, state.cl) == (self.c0, self.c1, self.cl)
+        assert state.m0.tolist() == self.m0 and state.m1.tolist() == self.m1
+        n = len(self.m1)
+        assert state.hist == [self.c0.count(size) for size in range(n + 1)]
+        assert state.act == [sum(a for s, a in zip(self.c0, self.c1) if s == size)
+                             for size in range(n + 1)]
+        assert (state.max_size, state.n_active) == (max(self.c0), sum(self.m1))
+        assert audit_consistency(state) == []
+
+
+@given(specs=cluster_specs, data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_stable_ids_match_the_positional_model(specs, data):
+    """Random merges, splits, flips and settles through scripted draws:
+    after each one, the positional views of the stable-id state equal a
+    model that compacts indices."""
+    state, model = make_state(specs), PositionalModel(specs)
+    n = len(model.m1)
+    for _ in range(data.draw(st.integers(1, 30))):
+        op = data.draw(st.sampled_from(["merge", "split", "flip", "settle"]))
+        if op == "merge" and len(model.c0) > 1:
+            cm = len(model.c0)
+            p, q = data.draw(st.lists(st.integers(0, cm - 1), min_size=2, max_size=2,
+                                      unique=True))
+            theta = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+            state.rng = ScriptedRNG([p, q])
+            p, q = min(p, q), max(p, q)
+            gate = all(model.c1[k] / model.c0[k] < theta for k in (p, q))
+            assert attempt_clustering(state, theta) == ((p, q) if gate else None)
+            if gate:
+                model.merge(p, q)
+        elif op == "split":
+            mol = data.draw(st.integers(0, n - 1))
+            k = model.m0[mol]
+            cut = data.draw(st.integers(0, max(0, model.c0[k] - 2)))
+            theta = data.draw(st.sampled_from([-1.0, 0.0, 0.5]))
+            state.rng = ScriptedRNG([mol, cut])
+            gate = model.c0[k] > 1 and model.c1[k] / model.c0[k] > theta
+            assert attempt_declustering(state, theta) == ((k, cut + 1) if gate else None)
+            if gate:
+                model.split(k, cut + 1)
+        elif op == "flip":
+            idx = data.draw(st.lists(st.integers(0, n - 1), unique=True))
+            base = data.draw(st.sampled_from([0, 7]))
+            assert state.flip([i + base for i in idx], base) == len(idx)
+            model.flip(idx)
+        elif op == "settle":
+            value = data.draw(st.sampled_from([0, 1]))
+            holders = [i for i in range(n) if model.m1[i] != value]
+            keep = data.draw(st.lists(st.sampled_from(holders), unique=True)) if holders else []
+            changed = n - len(keep) - model.m1.count(value)
+            assert state.settle(value, keep) == changed
+            model.settle(value, keep)
+        model.assert_matches(state)
+
+
+def test_state_fields_are_python_lists_and_ints():
+    params = SimParams(noise_schedule=NoiseSchedule(p0=0.05), interplay_enabled=True,
+                       pooled_modal_ratio=True, max_steps=500, seed=3)
+    state = init_state(params)
+    for _ in range(500):
+        step(state, params)
+    kinds = {name: type(getattr(state, name)) for name in SimState.__slots__ if name != "rng"}
+    assert set(kinds.values()) == {int, list}, kinds
+    assert all(type(v) is int for v in state.flags + state.cluster_of + state.c0)
