@@ -18,8 +18,12 @@ from reference chunks timed in the same run; the script reads the
 unscaled wall median and the scale from the run's ``wall medians before
 scaling`` line, compares ``run_s_unscaled`` the same way, and prints
 every run's speed scale, so a gain can be told apart from a difference
-in scale.  Runs that fail or report ``correct: false`` are listed and
-leave their pair out.  Exits 1 when any run failed.
+in scale.  With ``--trace`` every run is ``bench/run.py --trace 1``
+instead: the script prints each side's median and quartiles of every
+per-layer time metric, and checks that every count metric is the same
+on both sides of each pair.  Runs that fail or report ``correct: false``
+are listed and leave their pair out.  Exits 1 when any run failed or
+any count differed.
 """
 from __future__ import annotations
 
@@ -35,11 +39,11 @@ UNSCALED = re.compile(r"wall medians before scaling: run (\S+) s, setup \S+ s; "
                       r"speed scale (\S+) ")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float):
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: bool = False):
     """The metric values of one benchmark run in ``root``, with its unscaled
     ``run_s`` and speed scale when the run printed them, or an error text."""
     cmd = [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
     try:
         proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
                               timeout=4 * seconds + 300)
@@ -69,42 +73,11 @@ def quartiles(values: list) -> tuple:
     return q1, q3
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
-    ap.add_argument("change", type=Path, help="checkout of the change")
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=28.0)
-    ap.add_argument("--seed-base", type=int, default=1000, dest="seed_base",
-                    help="pair i runs at seed SEED_BASE + i")
-    args = ap.parse_args(argv)
-    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    spec = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
+def compare_end_to_end(spec: dict, pairs: list) -> dict:
+    """Print and return, per end-to-end metric, both sides' medians and
+    quartiles, the pairs the change won and whether the gain holds."""
     lower_better = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
     lower_better["run_s_unscaled"] = True
-
-    pairs, failures = [], []
-    for i in range(args.pairs):
-        seed = args.seed_base + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        got = {}
-        for side in order:
-            result, error = run_once(roots[side], args.workload, seed, args.seconds)
-            if error:
-                failures.append(f"pair {i} seed {seed} {side}: {error}")
-            else:
-                got[side] = result
-        line = "  ".join(f"{side} run_s {got[side].get('run_s', float('nan')):.4f} "
-                         f"(unscaled {got[side].get('run_s_unscaled', float('nan')):.4f}, "
-                         f"scale {got[side].get('speed_scale', float('nan')):.4g})"
-                         for side in order if side in got)
-        print(f"pair {i} seed {seed} ({order[0]} first): {line}", file=sys.stderr)
-        if len(got) == 2:
-            pairs.append(got)
-
-    print(f"workload {args.workload}: {len(pairs)} complete pairs of {args.pairs}, "
-          f"{args.seconds:g} s runs, seeds {args.seed_base}..{args.seed_base + args.pairs - 1}")
     summary = {}
     for name, lower in lower_better.items():
         parent = [p["parent"][name] for p in pairs if name in p["parent"]]
@@ -128,15 +101,99 @@ def main(argv=None) -> int:
               f"{(cmed - pmed) / pmed:+.1%}  change better in {wins}/{len(pairs)} "
               f"(worse in {losses})  gain beyond parent IQR {pq3 - pq1:.4f}: "
               f"{'yes' if beyond else 'no'}  gain holds: {'yes' if holds else 'no'}")
+    return summary
+
+
+def compare_layers(spec: dict, pairs: list) -> tuple:
+    """Print both sides' medians and quartiles of every per-layer time
+    metric, and list every pair whose count metrics differ between the
+    sides.  Returns (summary, mismatches)."""
+    units = {m["name"]: m["unit"] for m in spec["per_layer"]}
+    summary, mismatches = {}, []
+    for name, unit in units.items():
+        if unit not in ("s", "us"):
+            continue
+        parent = [p["parent"][name] for p in pairs if name in p["parent"]]
+        change = [p["change"][name] for p in pairs if name in p["change"]]
+        if not parent or not change:
+            continue
+        (pq1, pq3), (cq1, cq3) = quartiles(parent), quartiles(change)
+        pmed, cmed = statistics.median(parent), statistics.median(change)
+        summary[name] = {"parent_median": pmed, "parent_quartiles": [pq1, pq3],
+                         "change_median": cmed, "change_quartiles": [cq1, cq3]}
+        moved = f"{(cmed - pmed) / pmed:+.1%}" if pmed else "-"
+        print(f"  {name:28s} parent {pmed:.6g} ({pq1:.6g}-{pq3:.6g})  "
+              f"change {cmed:.6g} ({cq1:.6g}-{cq3:.6g}) {unit}  {moved}")
+    for i, p in enumerate(pairs):
+        for name, unit in units.items():
+            if unit == "count" and p["parent"].get(name) != p["change"].get(name):
+                mismatches.append(f"pair {i} {name}: parent {p['parent'].get(name)} "
+                                  f"change {p['change'].get(name)}")
+    counts = sum(unit == "count" for unit in units.values())
+    print(f"  {counts} count metrics in {len(pairs)} pairs: "
+          + (f"{len(mismatches)} differ" if mismatches else "all equal"))
+    for mismatch in mismatches:
+        print(f"  COUNT {mismatch}")
+    return summary, mismatches
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path, help="checkout of the parent commit")
+    ap.add_argument("change", type=Path, help="checkout of the change")
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=28.0)
+    ap.add_argument("--seed-base", type=int, default=1000, dest="seed_base",
+                    help="pair i runs at seed SEED_BASE + i")
+    ap.add_argument("--trace", action="store_true",
+                    help="run bench/run.py --trace 1: compare the per-layer times "
+                         "and check that the counts repeat")
+    args = ap.parse_args(argv)
+    roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
+    wall = "trace.run_s" if args.trace else "run_s"
+
+    pairs, failures = [], []
+    for i in range(args.pairs):
+        seed = args.seed_base + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        got = {}
+        for side in order:
+            result, error = run_once(roots[side], args.workload, seed, args.seconds,
+                                     args.trace)
+            if error:
+                failures.append(f"pair {i} seed {seed} {side}: {error}")
+            else:
+                got[side] = result
+        line = "  ".join(f"{side} {wall} {got[side].get(wall, float('nan')):.4f}"
+                         + ("" if args.trace else
+                            f" (unscaled {got[side].get('run_s_unscaled', float('nan')):.4f}, "
+                            f"scale {got[side].get('speed_scale', float('nan')):.4g})")
+                         for side in order if side in got)
+        print(f"pair {i} seed {seed} ({order[0]} first): {line}", file=sys.stderr)
+        if len(got) == 2:
+            pairs.append(got)
+
+    print(f"workload {args.workload}: {len(pairs)} complete pairs of {args.pairs}, "
+          f"{args.seconds:g} s {'traced ' if args.trace else ''}runs, "
+          f"seeds {args.seed_base}..{args.seed_base + args.pairs - 1}")
+    mismatches = []
+    if args.trace:
+        summary, mismatches = compare_layers(spec, pairs)
+    else:
+        summary = compare_end_to_end(spec, pairs)
     scales = {side: [p[side].get("speed_scale") for p in pairs] for side in roots}
-    for side, values in scales.items():
-        print(f"  speed scale per pair, {side}: "
-              + " ".join("-" if v is None else f"{v:.3f}" for v in values))
+    if not args.trace:
+        for side, values in scales.items():
+            print(f"  speed scale per pair, {side}: "
+                  + " ".join("-" if v is None else f"{v:.3f}" for v in values))
     for failure in failures:
         print(f"  FAIL {failure}")
-    print(json.dumps({"workload": args.workload, "pairs": pairs, "failures": failures,
+    print(json.dumps({"workload": args.workload, "trace": args.trace, "pairs": pairs,
+                      "failures": failures, "count_mismatches": mismatches,
                       "metrics": summary, "speed_scales": scales}))
-    return 1 if failures else 0
+    return 1 if failures or mismatches else 0
 
 
 if __name__ == "__main__":

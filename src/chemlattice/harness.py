@@ -313,13 +313,15 @@ def run_simulation(params: SimParams, record_every: int = 1) -> tuple:
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
     steps = params.max_steps
     state = init_state(params)
-    cc = [len(state.c0)]
+    c0 = state.c0  # merges and splits edit this list in place
+    cc = [len(c0)]
     ac = [state.n_active]
+    cc_append, ac_append = cc.append, ac.append
     for t in range(1, steps + 1):
         step(state, params)
         if not t % record_every:
-            cc.append(len(state.c0))
-            ac.append(state.n_active)
+            cc_append(len(c0))
+            ac_append(state.n_active)
     cc = np.array(cc, dtype=np.int64)
     ac = np.array(ac, dtype=np.int64)
     violations = audit_consistency(state)
@@ -370,17 +372,28 @@ CSV_CHUNK_ROWS = 2048
 def _series_csv(series: analysis.RunSeries) -> str:
     """The series.csv text: a header, then ``t,cluster_count,active_count,
     noise_p`` per recorded sample, the counts as integers and the noise
-    as its float repr.  Rows are formatted CSV_CHUNK_ROWS at a time from
-    ``tolist()`` slices of the columns, so no numpy scalar is built per
-    row and the transient lists stay one chunk long."""
+    as its float repr.  Each chunk of CSV_CHUNK_ROWS rows is one ``%``
+    format of a repeated row template over the chunk's interleaved
+    ``tolist()`` cells (``%s`` gives the f-string's text for any value),
+    so no string is built per row and the transient lists stay one chunk
+    long.  A chunk whose noise bits are all equal has the noise repr
+    written into its template and interleaves three columns."""
     # A constant schedule read from JSON may hold an integer p0, whose
     # trace is an integer array; the file still writes it as a float.
-    columns = (series.t, series.cluster_count, series.active_count,
-               series.noise_trace.astype(np.float64, copy=False))
+    noise = series.noise_trace.astype(np.float64, copy=False)
+    # Bits, not values: 0.0 == -0.0, but their reprs differ.
+    bits = noise.view(np.int64)
+    columns = (series.t, series.cluster_count, series.active_count, noise)
     parts = ["t,cluster_count,active_count,noise_p\n"]
     for lo in range(0, len(series.t), CSV_CHUNK_ROWS):
-        t, c, a, p = (col[lo:lo + CSV_CHUNK_ROWS].tolist() for col in columns)
-        parts.append("".join([f"{ti},{ci},{ai},{pi!r}\n" for ti, ci, ai, pi in zip(t, c, a, p)]))
+        hi = lo + CSV_CHUNK_ROWS
+        chunk = bits[lo:hi]
+        width = 3 if (chunk == chunk[0]).all() else 4
+        cells = [None] * (width * len(chunk))
+        for j, col in enumerate(columns[:width]):
+            cells[j::width] = col[lo:hi].tolist()
+        row = "%s,%s,%s,%s\n" if width == 4 else f"%s,%s,%s,{float(noise[lo])!r}\n"
+        parts.append(row * len(chunk) % tuple(cells))
     return "".join(parts)
 
 

@@ -106,4 +106,5 @@ def run_interplay(state: "SimState", params: "SimParams") -> InterplayOutcome:
     flips = 0
     if kicked:
         flips = coherence_kick(state, r_a, params.p_coh, params.theta_a)
-    return InterplayOutcome(mode_size, representative, r_a, kicked, flips)
+    # tuple.__new__ skips the named tuple's generated __new__ frame.
+    return tuple.__new__(InterplayOutcome, (mode_size, representative, r_a, kicked, flips))

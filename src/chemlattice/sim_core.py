@@ -633,21 +633,26 @@ def step(state: SimState, params: SimParams) -> StepReport:
     second call reports the rule the first one did and its result is not
     kept.  The step counter increments last.
     """
-    if state.t >= params.max_steps:
+    t = state.t
+    if t >= params.max_steps:
         raise ValueError(
-            f"step budget exhausted: t={state.t}, max_steps={params.max_steps}"
+            f"step budget exhausted: t={t}, max_steps={params.max_steps}"
         )
     merged = attempt_clustering(state, params.theta_c)
     split = attempt_declustering(state, params.theta_dec)
     boundary = apply_boundary_rules(state)
-    noise_flips = apply_noise(state, noise_at(params.noise_schedule, state.t))
+    schedule = params.noise_schedule
+    noise_flips = apply_noise(state, schedule.p0 if schedule.kind == "constant"
+                              else noise_at(schedule, t))
     coherence_flips = 0
     if params.interplay_enabled:
-        outcome = interplay.run_interplay(state, params)
-        coherence_flips = outcome.flips
+        coherence_flips = interplay.run_interplay(state, params).flips
         apply_boundary_rules(state)
-    state.t += 1
-    return StepReport(state.t, merged, split, boundary, noise_flips, coherence_flips)
+    t += 1
+    state.t = t
+    # tuple.__new__ skips the named tuple's generated __new__ frame.
+    return tuple.__new__(StepReport, (t, merged, split, boundary, noise_flips,
+                                      coherence_flips))
 
 
 def audit_consistency(state: SimState) -> list:
@@ -679,9 +684,9 @@ def audit_consistency(state: SimState) -> list:
     total = sum(c0)
     if total != n:
         out.append(f"cluster sizes sum to {total}, expected {n}")
-    flags = np.array(state.flags)
-    for mol in np.flatnonzero((flags != 0) & (flags != 1))[:5]:
-        out.append(f"molecule {int(mol)}: activity {int(flags[mol])} not 0/1")
+    flags = state.flags
+    for mol in [i for i, f in enumerate(flags) if f != 0 and f != 1][:5]:
+        out.append(f"molecule {mol}: activity {int(flags[mol])} not 0/1")
     c1 = state.c1
     listed = []
     for k, a in enumerate(order):
@@ -693,7 +698,7 @@ def audit_consistency(state: SimState) -> list:
         if len(inside) != len(members):
             out.append(f"cluster {k}: member index out of range")
         listed += inside
-        active = int(flags[inside].sum()) if inside else 0
+        active = int(sum(map(flags.__getitem__, inside)))
         if c1[k] != active:
             out.append(f"cluster {k}: recorded active count {c1[k]} != recount {active}")
         if not (0 <= c1[k] <= c0[k]):
@@ -716,17 +721,17 @@ def audit_consistency(state: SimState) -> list:
                     f"size table {name}[{size}] = {kept[size]} != "
                     f"rebuild from c0/c1 {fresh[size]}"
                 )
-    flagged = int(np.count_nonzero(flags))
+    flagged = len(flags) - flags.count(0)
     if state.n_active != flagged:
         out.append(f"n_active {state.n_active} != active flags {flagged}")
     largest = max(c0, default=0)
     if state.max_size != largest:
         out.append(f"max_size {state.max_size} != largest cluster size {largest}")
-    seen = np.bincount(np.array(listed, dtype=np.int64), minlength=n)
-    for mol in np.flatnonzero(seen == 0)[:5]:
-        out.append(f"molecule {int(mol)} appears in no membership list")
-    for mol in np.flatnonzero(seen > 1)[:5]:
-        out.append(
-            f"molecule {int(mol)} appears {int(seen[mol])} times across membership lists"
-        )
+    seen = [0] * n
+    for mol in listed:
+        seen[mol] += 1
+    for mol in [i for i, k in enumerate(seen) if k == 0][:5]:
+        out.append(f"molecule {mol} appears in no membership list")
+    for mol in [i for i, k in enumerate(seen) if k > 1][:5]:
+        out.append(f"molecule {mol} appears {seen[mol]} times across membership lists")
     return out

@@ -329,6 +329,42 @@ def test_series_csv_matches_row_by_row_across_chunk_bounds(extra):
     assert first_difference(harness._series_csv(series), reference_series_csv(series)) is None
 
 
+def chunk_noise(first, second=0.05):
+    """Two chunks of noise: ``first`` fills the first, ``second`` the other."""
+    noise = np.full(2 * harness.CSV_CHUNK_ROWS, second)
+    noise[:harness.CSV_CHUNK_ROWS] = first
+    return noise
+
+
+def last_row_of_the_chunk_differs():
+    noise = chunk_noise(0.05)
+    noise[harness.CSV_CHUNK_ROWS - 1] = 0.1 + 0.2
+    return noise
+
+
+@pytest.mark.parametrize("noise, reprs", [
+    (chunk_noise(0.05), {"0.05"}),
+    (last_row_of_the_chunk_differs(), {"0.05", "0.30000000000000004"}),
+    # Equal as values, not as bits: each row keeps its own repr.
+    (chunk_noise(np.where(np.arange(harness.CSV_CHUNK_ROWS) % 3, 0.0, -0.0), -0.0),
+     {"0.0", "-0.0"}),
+    (chunk_noise(1e-06, 1e-06), {"1e-06"}),
+], ids=["constant", "constant-but-the-last-row", "signed-zeros", "constant-1e-06"])
+def test_series_csv_folds_only_a_bitwise_constant_noise_chunk(noise, reprs):
+    rows = len(noise)
+    rng = np.random.default_rng(5)
+    series = RunSeries(
+        t=np.arange(rows, dtype=np.int64) * 3,
+        cluster_count=rng.integers(1, 201, rows),
+        active_count=rng.integers(0, 201, rows),
+        params_snapshot=None,
+        noise_trace=noise,
+    )
+    text = harness._series_csv(series)
+    assert first_difference(text, reference_series_csv(series)) is None
+    assert {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]} == reprs
+
+
 def test_series_csv_of_a_thinned_ramp_run_matches_row_by_row():
     config = builtin_config("fig12")
     ramp = dataclasses.replace(config.ramp, onset_step=1_000)

@@ -7,6 +7,7 @@ import pytest
 
 from chemlattice import harness, interplay
 from chemlattice.interplay import (
+    InterplayOutcome,
     active_ratio,
     coherence_kick,
     modal_cluster,
@@ -103,6 +104,20 @@ def test_run_interplay_fires_only_inside_band():
     out = run_interplay(pure, params)
     assert not out.kicked and out.flips == 0
     assert pure.active_total() == 10
+
+
+@pytest.mark.parametrize("clusters, kicked", [([(10, 5), (10, 10)], True),
+                                               ([(10, 10), (4, 0)], False)])
+def test_run_interplay_returns_a_whole_outcome(clusters, kicked):
+    # run_interplay builds its outcome with tuple.__new__, which checks no arity.
+    params = SimParams(n_molecules=20, theta_a=0.3, p_coh=1.0, interplay_enabled=True)
+    out = run_interplay(make_state(clusters, seed=5), params)
+    assert out.kicked is kicked
+    assert type(out) is InterplayOutcome
+    assert len(out) == len(InterplayOutcome._fields)
+    assert out._asdict() == InterplayOutcome(
+        mode_size=out.mode_size, representative=out.representative, r_a=out.r_a,
+        kicked=out.kicked, flips=out.flips)._asdict()
 
 
 def test_pooled_ratio_aggregates_all_modal_clusters():

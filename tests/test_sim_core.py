@@ -9,6 +9,7 @@ from chemlattice.sim_core import (
     NoiseSchedule,
     SimParams,
     SimState,
+    StepReport,
     apply_boundary_rules,
     apply_noise,
     attempt_clustering,
@@ -324,6 +325,22 @@ def test_step_streams_replay_exactly():
     assert reports_a == reports_b
     assert np.array_equal(state_a.m0, state_b.m0)
     assert np.array_equal(state_a.m1, state_b.m1)
+
+
+def test_step_report_is_a_whole_step_report():
+    # step builds its report with tuple.__new__, which checks no arity.
+    params = SimParams(noise_schedule=NoiseSchedule(kind="constant", p0=0.05),
+                       interplay_enabled=True, pooled_modal_ratio=True, seed=3)
+    state = init_state(params)
+    for _ in range(50):
+        report = step(state, params)
+        assert type(report) is StepReport
+        assert len(report) == len(StepReport._fields)
+        assert report._asdict() == StepReport(
+            t=report.t, merged=report.merged, split=report.split,
+            boundary=report.boundary, noise_flips=report.noise_flips,
+            coherence_flips=report.coherence_flips)._asdict()
+    assert report.t == state.t == 50
 
 
 def test_step_budget_is_enforced():
