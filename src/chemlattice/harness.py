@@ -313,15 +313,13 @@ def run_simulation(params: SimParams, record_every: int = 1) -> tuple:
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
     steps = params.max_steps
     state = init_state(params)
-    c0 = state.c0  # merges and splits edit this list in place
-    cc = [len(c0)]
+    cc = [len(state.c0)]
     ac = [state.n_active]
-    cc_append, ac_append = cc.append, ac.append
     for t in range(1, steps + 1):
         step(state, params)
         if not t % record_every:
-            cc_append(len(c0))
-            ac_append(state.n_active)
+            cc.append(len(state.c0))
+            ac.append(state.n_active)
     cc = np.array(cc, dtype=np.int64)
     ac = np.array(ac, dtype=np.int64)
     violations = audit_consistency(state)

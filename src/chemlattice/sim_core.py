@@ -633,25 +633,22 @@ def step(state: SimState, params: SimParams) -> StepReport:
     second call reports the rule the first one did and its result is not
     kept.  The step counter increments last.
     """
-    t = state.t
-    if t >= params.max_steps:
+    if state.t >= params.max_steps:
         raise ValueError(
-            f"step budget exhausted: t={t}, max_steps={params.max_steps}"
+            f"step budget exhausted: t={state.t}, max_steps={params.max_steps}"
         )
     merged = attempt_clustering(state, params.theta_c)
     split = attempt_declustering(state, params.theta_dec)
     boundary = apply_boundary_rules(state)
-    schedule = params.noise_schedule
-    noise_flips = apply_noise(state, schedule.p0 if schedule.kind == "constant"
-                              else noise_at(schedule, t))
+    noise_flips = apply_noise(state, noise_at(params.noise_schedule, state.t))
     coherence_flips = 0
     if params.interplay_enabled:
-        coherence_flips = interplay.run_interplay(state, params).flips
+        outcome = interplay.run_interplay(state, params)
+        coherence_flips = outcome.flips
         apply_boundary_rules(state)
-    t += 1
-    state.t = t
+    state.t += 1
     # tuple.__new__ skips the named tuple's generated __new__ frame.
-    return tuple.__new__(StepReport, (t, merged, split, boundary, noise_flips,
+    return tuple.__new__(StepReport, (state.t, merged, split, boundary, noise_flips,
                                       coherence_flips))
 
 
