@@ -55,7 +55,7 @@ def active_ratio(state: "SimState", cluster: int) -> float:
     c_max = len(state.c0)
     if not 0 <= cluster < c_max:
         raise ValueError(f"cluster index {cluster} outside 0..{c_max - 1}")
-    return state.active_of[state.order[cluster]] / state.c0[cluster]
+    return (state.flags & state.mask_of[state.order[cluster]]).bit_count() / state.c0[cluster]
 
 
 def target_activity(r_a: float) -> int:
@@ -72,11 +72,13 @@ def coherence_kick(state: "SimState", r_a: float, p_coh: float, theta_a: float) 
 
     The caller must have verified that ``r_a`` lies inside the mixed band
     [theta_a, 1 - theta_a]; out-of-band values raise without mutating the
-    state.  Every selected molecule ends at the target, so the kick
-    settles the whole population there (``SimState.settle``) except the
-    unselected molecules that hold the other value, a handful at
-    p_coh = 0.95; ``settle`` keeps the cluster active counts exact.
-    Returns the number of flags changed.
+    state.  The selected molecules are one ``rng.row`` mask.  Every one of
+    them ends at the target, so the kick settles the whole population
+    there (``SimState.settle``) except the unselected molecules that hold
+    the other value: with T the target population (0 or all N bits), the
+    flags become ``T ^ (~selected & (flags ^ T))``, a few operations on
+    N-bit ints however many molecules move.  Returns the number of flags
+    changed.
     """
     if not theta_a <= r_a <= 1.0 - theta_a:
         raise ValueError(
@@ -84,22 +86,24 @@ def coherence_kick(state: "SimState", r_a: float, p_coh: float, theta_a: float) 
             f"[{theta_a}, {1.0 - theta_a}]"
         )
     target = target_activity(r_a)
-    flags = state.flags
-    selected = state.rng.below(len(flags), p_coh)
-    return state.settle(target, [i for i in (~selected).nonzero()[0].tolist()
-                                 if flags[i] != target])
+    n = len(state.cluster_of)
+    population = (1 << n) - 1 if target else 0
+    selected = state.rng.row(n, p_coh)
+    return state.settle(target, ~selected & (state.flags ^ population))
 
 
 def run_interplay(state: "SimState", params: "SimParams") -> InterplayOutcome:
     """Evaluate the modal cluster and fire the kick when the band allows.
 
     With ``pooled_modal_ratio`` the ratio aggregates active and total
-    counts over *all* clusters of the modal size (the ``act`` and
-    ``hist`` table entries) instead of the single representative.
+    counts over *all* clusters of the modal size (the flags under
+    ``size_mask`` and the ``hist`` entry) instead of the single
+    representative.
     """
     mode_size, representative = modal_cluster(state)
     if params.pooled_modal_ratio:
-        r_a = state.act[mode_size] / (mode_size * state.hist[mode_size])
+        r_a = ((state.flags & state.size_mask[mode_size]).bit_count()
+               / (mode_size * state.hist[mode_size]))
     else:
         r_a = active_ratio(state, representative)
     kicked = params.theta_a <= r_a <= 1.0 - params.theta_a

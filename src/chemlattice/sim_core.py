@@ -12,20 +12,21 @@ held on the state.  The step draws through `Draws`, which reads the
 generator's raw 64-bit output in blocks and replays numpy's bounded-integer
 and uniform-float conversions on it, so every value and the generator's
 stream are exactly what direct ``integers``/``random`` calls would give,
-and trajectories replay bit-exactly.  A row of per-molecule events comes
-either as a dense boolean mask (``below``, the kick) or as the sparse
-list of its hit indices with an offset (``hits``, the noise); both are
-bit-exact.  A state is not safe to share between threads; parameter
-sweeps use independent states.
+and trajectories replay bit-exactly.  A row of per-molecule events (the
+noise, the kick) comes as one int mask (``row``), bit i for molecule i,
+and activity is held the same way: one int of flags plus a member mask
+per cluster and per cluster size.  So a noise row is one XOR and a kick
+or reset a few operations on N-bit ints, whatever the number of
+molecules that flip; a cluster's active count is the bit count of its
+mask ANDed with the flags.  A state is not safe to share between
+threads; parameter sweeps use independent states.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import repeat
-from operator import mul
 from typing import Literal, NamedTuple, Optional
 
 import numpy as np
@@ -144,24 +145,22 @@ class Draws:
     """Draws from a PCG64 ``np.random.Generator``, served from blocks of
     its raw 64-bit output.
 
-    ``integers(m)`` returns exactly ``int(gen.integers(m))`` and
-    ``below(n, p)`` exactly ``gen.random(n) < p``, and both consume the
-    stream as those calls do, so a run is bit-identical to one that calls
-    the generator directly.  ``hits(n, p)`` is the sparse form of
-    ``below``: the indices of its True entries, from the same n words, as
-    a list and an offset to subtract from each.  Bounded integers use
-    Lemire's rejection on 32-bit halves: a raw word serves its low half
-    first and caches its high half, like PCG64's ``next_uint32``, and the
-    replay keeps that cache from construction on.  ``random()`` is
-    ``(word >> 11) * 2**-53``, so ``random() < p`` is
-    ``word < ceil(p * 2**53) << 11``.
+    ``integers(m)`` returns exactly ``int(gen.integers(m))``, and
+    ``row(n, p)`` returns ``gen.random(n) < p`` as an int whose bit i is
+    entry i; both consume the stream as those calls do, so a run is
+    bit-identical to one that calls the generator directly.  Bounded
+    integers use Lemire's rejection on 32-bit halves: a raw word serves
+    its low half first and caches its high half, like PCG64's
+    ``next_uint32``, and the replay keeps that cache from construction
+    on.  ``random()`` is ``(word >> 11) * 2**-53``, so ``random() < p``
+    is ``word < ceil(p * 2**53) << 11``.
 
     ``bit_generator`` returns the generator moved to the replay's logical
     position.  Drawing from it directly desynchronises the replay.
     """
 
-    __slots__ = ("_gen", "_base", "_block", "_pos", "_has32", "_u32",
-                 "_last_p", "_hit_p", "_hits")
+    __slots__ = ("_gen", "_base", "_block", "_words", "_size", "_pos", "_has32", "_u32",
+                 "_rows")
 
     def __init__(self, gen: np.random.Generator) -> None:
         bg = gen.bit_generator
@@ -174,10 +173,11 @@ class Draws:
         # _base, plus the cached high half-word.
         self._base = bg.state
         self._block = _NO_WORDS
-        self._pos = 0
+        self._words = memoryview(_NO_WORDS)
+        self._size = self._pos = 0
         self._has32 = self._base["has_uint32"]
         self._u32 = self._base["uinteger"]
-        self._forget_hits()
+        self._rows = {}
 
     @property
     def bit_generator(self) -> np.random.PCG64:
@@ -185,8 +185,8 @@ class Draws:
 
     def clone(self) -> "Draws":
         """Copy at the same logical position.  The copy shares the
-        read-only block and hit list and builds its own generator only
-        when it needs one, so cloning draws nothing."""
+        read-only block and its packed rows and builds its own generator
+        only when it needs one, so cloning draws nothing."""
         twin = Draws.__new__(Draws)
         twin._gen = None
         for name in Draws.__slots__[1:]:  # every slot but _gen
@@ -207,12 +207,6 @@ class Draws:
         bg.state = state
         return self._gen
 
-    def _forget_hits(self) -> None:
-        # _hits lists every index of the current block whose word is below
-        # the threshold of probability _hit_p; _last_p is the p of the last
-        # ``hits`` call served from this block.
-        self._last_p = self._hit_p = self._hits = None
-
     def _refill(self, n: int) -> None:
         # A new block starting at the logical position; the words left in
         # the old one are drawn again.
@@ -220,14 +214,19 @@ class Draws:
         self._base = bg.state
         block = bg.random_raw(max(DRAW_BLOCK, n))
         block.flags.writeable = False  # shared with clones
+        # Single words are read through a memoryview, which is faster
+        # than ndarray.item; rows are compared on the array.
         self._block = block
+        self._words = memoryview(block)
+        self._size = block.size
         self._pos = 0
-        self._forget_hits()
+        # A new dict, not a cleared one: clones share the old block's.
+        self._rows = {}
 
     def _take(self, n: int) -> int:
         # Block offset of the next n words, which are then consumed.
         pos = self._pos
-        if pos + n > self._block.size:
+        if pos + n > self._size:
             self._refill(n)
             pos = 0
         self._pos = pos + n
@@ -238,7 +237,7 @@ class Draws:
             self._has32 = 0
             return self._u32  # numpy keeps the stale half after use too
         pos = self._take(1)  # may refill, so read the block after it
-        word = self._block.item(pos)
+        word = self._words[pos]
         self._has32 = 1
         self._u32 = word >> 32
         return word & _M32
@@ -257,10 +256,10 @@ class Draws:
             prod = self._u32 * m
         else:
             pos = self._pos
-            if pos == self._block.size:
+            if pos == self._size:
                 self._refill(1)
                 pos = 0
-            word = self._block.item(pos)
+            word = self._words[pos]
             self._pos = pos + 1
             self._has32 = 1
             self._u32 = word >> 32
@@ -271,47 +270,39 @@ class Draws:
                 prod = self._next32() * m
         return prod >> 32
 
-    def below(self, n: int, p: float) -> np.ndarray:
-        """n independent events of probability p, as a boolean array;
-        always consumes n words."""
-        pos = self._take(n)
-        if p >= 1.0:  # the threshold 2**64 does not fit in a uint64
-            return np.ones(n, dtype=bool)
-        if not p > 0.0:
-            return np.zeros(n, dtype=bool)
-        return self._block[pos:pos + n] < _word_threshold(p)
+    def row(self, n: int, p: float) -> int:
+        """n independent events of probability p as an int mask: bit i is
+        set exactly where ``gen.random(n) < p`` is True.  Always consumes
+        n words.
 
-    def hits(self, n: int, p: float) -> tuple:
-        """``(positions, offset)``: the indices at which ``below(n, p)``
-        would be True are ``i - offset`` for ``i`` in ``positions``,
-        ascending; consumes the same n words.
-
-        The second call in a row at the same p compares the whole block
-        once and keeps its hit list.  Later calls at that p return a slice
-        of that list, whose entries are block indices, with the row's block
-        offset, so no entry is shifted or rebuilt.  Every other call
-        returns row indices with offset 0.  A refill drops the list;
-        ``below`` calls in between leave it alone.
+        ``_rows`` maps each p asked in the current block to None after its
+        first row there, which compares only its own words, and to the
+        whole block compared and packed little-endian into bytes from the
+        second on; later rows at that p are cut from those bytes.  So the
+        noise and the kick keep one packed block each, and a ramp, whose p
+        changes every step, packs only its own rows.
         """
         pos = self._pos  # _take(n), inline
         end = pos + n
-        if end > self._block.size:
+        if end > self._size:
             self._refill(n)
             pos, end = 0, n
         self._pos = end
-        if p >= 1.0:
-            return range(n), 0
+        if p >= 1.0:  # the threshold 2**64 does not fit in a uint64
+            return (1 << n) - 1
         if not p > 0.0:
-            return (), 0
-        if p != self._hit_p:
-            if p != self._last_p:
-                self._last_p = p
-                return (self._block[pos:end] < _word_threshold(p)).nonzero()[0].tolist(), 0
-            self._hit_p = p
-            self._hits = (self._block < _word_threshold(p)).nonzero()[0].tolist()
-        found = self._hits
-        lo = bisect_left(found, pos)
-        return found[lo:bisect_left(found, end, lo)], pos
+            return 0
+        rows = self._rows
+        packed = rows.get(p)
+        if packed is None:
+            if p not in rows:
+                rows[p] = None
+                own = np.packbits(self._block[pos:end] < _word_threshold(p), bitorder="little")
+                return int.from_bytes(own.tobytes(), "little")
+            packed = rows[p] = np.packbits(self._block < _word_threshold(p),
+                                           bitorder="little").tobytes()
+        return int.from_bytes(packed[pos >> 3:(end + 7) >> 3], "little") >> (pos & 7) \
+            & ((1 << n) - 1)
 
 
 def _word_threshold(p: float) -> int:
@@ -320,63 +311,72 @@ def _word_threshold(p: float) -> int:
 
 
 class SimState:
-    """Mutable simulation state, held in Python lists.
+    """Mutable simulation state: Python lists of ints, and activity held
+    as bitmasks.
 
     Each cluster has a stable id, kept until a merge absorbs it; freed ids
     go on the ``free`` stack, and a split takes the last one.  Per id,
-    ``size_of``, ``active_of`` and ``members_of`` hold the cluster's size,
-    active-member count and members in insertion order (merges append the
-    absorbed cluster's members; splits cut the list at the drawn point);
-    a free id's entries are stale.  ``cluster_of[i]`` is molecule i's
-    cluster id and ``flags[i]`` its activity bit.  The draws and reports
-    speak in *positions*: ``order`` lists the live ids by position, dense
-    0..c_max-1, and ``c0`` their sizes.  A merge deletes the absorbed
-    position from both, which shifts every position above it down by one
-    without relabelling a molecule; a split appends its new cluster at the
-    end.  ``c1``, ``cl``, ``m0`` and ``m1`` (active counts, members,
-    molecule positions and flags by position) are built on each read.
+    ``size_of``, ``members_of`` and ``mask_of`` hold the cluster's size,
+    its members in insertion order (merges append the absorbed cluster's
+    members; splits cut the list at the drawn point) and the same members
+    as a bitmask (bit i for molecule i); a free id's entries are stale.
+    ``cluster_of[i]`` is molecule i's cluster id.  ``flags`` is one int
+    whose bit i is molecule i's activity, and ``n_active`` its bit count.
+    A cluster's active count is ``(flags & mask_of[k]).bit_count()``, read
+    when a gate needs it; nothing per cluster is kept for it.
 
-    ``hist[s]`` and ``act[s]``, for sizes s in 0..N, are the number of
-    clusters of size s and their active molecules summed; ``max_size`` is
-    the largest size, so the modal lookup scans ``hist`` only up to it.
-    The constructor takes the members by position and the flags and
-    derives the rest, which every mutator here keeps exact.  Flags change
-    only through ``flip`` (each listed molecule toggles) or ``settle``
-    (everyone to one value, with listed exceptions).
+    The draws and reports speak in *positions*: ``order`` lists the live
+    ids by position, dense 0..c_max-1, and ``c0`` their sizes.  A merge
+    deletes the absorbed position from both, which shifts every position
+    above it down by one without relabelling a molecule; a split appends
+    its new cluster at the end.  ``c1``, ``cl``, ``m0`` and ``m1`` (active
+    counts, members, molecule positions and flags by position) are built
+    on each read.
+
+    For sizes s in 0..N, ``hist[s]`` is the number of clusters of size s
+    and ``size_mask[s]`` the OR of their member masks; ``act[s]``, their
+    active molecules summed, is read from ``size_mask`` on demand.
+    ``max_size`` is the largest size, so the modal lookup scans ``hist``
+    only up to it.  The constructor takes the members by position and the
+    flag mask and derives the rest, which every mutator here keeps exact.
+    Flags change only through ``flip`` (XOR with a mask) or ``settle``
+    (everyone to one value, a mask of exceptions at the other), so a
+    change of any number of flags costs a few operations on N-bit ints.
 
     ``rng`` serves the step's draws: ``integers(m)`` for the merge and
-    split, ``hits(n, p)`` for the noise and ``below(n, p)`` for the kick.
-    A ``np.random.Generator`` passed in is wrapped in `Draws`; any other
+    split, ``row(n, p)`` for the noise and the kick.  A
+    ``np.random.Generator`` passed in is wrapped in `Draws`; any other
     object is kept as it is and needs only the methods its phases call.
     """
 
-    __slots__ = ("t", "rng", "order", "c0", "size_of", "active_of", "members_of",
-                 "free", "cluster_of", "flags", "hist", "act", "max_size", "n_active")
+    __slots__ = ("t", "rng", "order", "c0", "size_of", "members_of", "mask_of", "free",
+                 "cluster_of", "flags", "hist", "size_mask", "max_size", "n_active")
 
-    def __init__(self, members, flags, rng, t: int = 0) -> None:
+    def __init__(self, members, flags: int, rng, t: int = 0) -> None:
         self.t = t
         self.rng = Draws(rng) if isinstance(rng, np.random.Generator) else rng
-        flags = self.flags = list(map(int, flags))
-        n, cm = len(flags), len(members)
+        self.flags = flags
+        self.n_active = flags.bit_count()
+        cm = len(members)
+        n = sum(map(len, members))
         self.members_of = list(map(list, members)) + [None] * (n - cm)
         self.size_of = list(map(len, members)) + [0] * (n - cm)
-        active_of = self.active_of = [0] * len(self.size_of)
+        mask_of = self.mask_of = [0] * n
         cluster_of = self.cluster_of = [-1] * n
         for k, m in enumerate(members):
             for i in m:
                 cluster_of[i] = k
-                active_of[k] += flags[i]
+                mask_of[k] |= 1 << i
         self.order = list(range(cm))
         self.free = list(range(n - 1, cm - 1, -1))
         self.c0 = self.size_of[:cm]
         self.hist = _sum_by_size(self.c0, repeat(1), n)
-        self.act = _sum_by_size(self.c0, self.active_of, n)
+        self.size_mask = _sum_by_size(self.c0, mask_of, n)
         self.max_size = max(self.c0, default=0)
-        self.n_active = sum(self.flags)
 
     @property
     def n_molecules(self) -> int:
-        return len(self.flags)
+        return len(self.cluster_of)
 
     @property
     def c_max(self) -> int:
@@ -384,7 +384,13 @@ class SimState:
 
     @property
     def c1(self) -> list:
-        return [self.active_of[k] for k in self.order]
+        flags, mask_of = self.flags, self.mask_of
+        return [(flags & mask_of[k]).bit_count() for k in self.order]
+
+    @property
+    def act(self) -> list:
+        flags = self.flags
+        return [(flags & mask).bit_count() for mask in self.size_mask]
 
     @property
     def cl(self) -> list:
@@ -397,61 +403,26 @@ class SimState:
 
     @property
     def m1(self) -> np.ndarray:
-        return np.array(self.flags, dtype=np.int8)
+        n = len(self.cluster_of)
+        packed = np.frombuffer(self.flags.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(packed, count=n, bitorder="little").astype(np.int8)
 
-    def flip(self, idx, base: int = 0) -> int:
-        """Toggle the activity of the distinct molecules ``i - base`` for
-        ``i`` in ``idx``, as ``Draws.hits`` returns them; each flip moves
-        its cluster's active count, the ``act`` table and ``n_active`` by
-        one.  Returns the number of flips."""
-        cluster_of, flags = self.cluster_of, self.flags
-        size_of, active_of, act = self.size_of, self.active_of, self.act
-        n_active = self.n_active
-        for i in idx:
-            i -= base
-            k = cluster_of[i]
-            if flags[i]:
-                flags[i] = 0
-                active_of[k] -= 1
-                act[size_of[k]] -= 1
-                n_active -= 1
-            else:
-                flags[i] = 1
-                active_of[k] += 1
-                act[size_of[k]] += 1
-                n_active += 1
-        self.n_active = n_active
-        return len(idx)
+    def flip(self, mask: int) -> int:
+        """Toggle the activity of the molecules in ``mask`` (bit i for
+        molecule i), as ``Draws.row`` returns them; returns their number."""
+        flags = self.flags = self.flags ^ mask
+        self.n_active = flags.bit_count()
+        return mask.bit_count()
 
-    def settle(self, value: int, keep: list) -> int:
+    def settle(self, value: int, keep: int) -> int:
         """Set every activity flag to ``value`` (0 or 1) except those of
-        ``keep``, a list of distinct molecules that already hold the other
-        value.  The active counts and ``act`` are rebuilt for the uniform
-        population and then moved by one per kept molecule, so the cost
-        grows with the number of ids and ``len(keep)``.  The flag list is
-        written in place.  Returns the number of flags changed."""
-        flags = self.flags
-        n = len(flags)
-        at_value = self.n_active if value else n - self.n_active
-        size_of, active_of, act = self.size_of, self.active_of, self.act
-        top = self.max_size + 1  # act is 0 above the largest size
-        flags[:] = [value] * n
-        if value:
-            active_of[:] = size_of
-            act[:top] = map(mul, range(top), self.hist)
-        else:
-            active_of[:] = [0] * len(active_of)
-            act[:top] = [0] * top
-        other = 1 - value
-        delta = other - value
-        cluster_of = self.cluster_of
-        for i in keep:
-            k = cluster_of[i]
-            flags[i] = other
-            active_of[k] += delta
-            act[size_of[k]] += delta
-        self.n_active = len(keep) if other else n - len(keep)
-        return n - len(keep) - at_value
+        the molecules in ``keep``, a mask, which end at the other value.
+        Returns the number of flags changed."""
+        flags = ((1 << len(self.cluster_of)) - 1 if value else 0) ^ keep
+        changed = (flags ^ self.flags).bit_count()
+        self.flags = flags
+        self.n_active = flags.bit_count()
+        return changed
 
     def active_total(self) -> int:
         return self.n_active
@@ -479,11 +450,12 @@ class StepReport(NamedTuple):
 def init_state(params: SimParams) -> SimState:
     """All molecules start as inactive singleton clusters."""
     n = params.n_molecules
-    return SimState([[i] for i in range(n)], [0] * n, np.random.default_rng(params.seed))
+    return SimState([[i] for i in range(n)], 0, np.random.default_rng(params.seed))
 
 
 def _sum_by_size(sizes, values, n: int) -> list:
-    # table[s] = sum of the values of the clusters of size s, s in 0..n.
+    # table[s] = sum of the values of the clusters of size s, s in 0..n;
+    # for member masks, which are disjoint, the sum is their OR.
     table = [0] * (n + 1)
     for size, value in zip(sizes, values):
         table[size] += value
@@ -492,26 +464,26 @@ def _sum_by_size(sizes, values, n: int) -> list:
 
 def _merge_clusters(state: SimState, p: int, q: int) -> None:
     # p < q; q's members join p's id, then q leaves the positions.
-    c0, hist, act = state.c0, state.hist, state.act
-    order, size_of, active_of = state.order, state.size_of, state.active_of
+    c0, hist, size_mask = state.c0, state.hist, state.size_mask
+    order, size_of, mask_of = state.order, state.size_of, state.mask_of
     a, b = order[p], order[q]
-    size_p, size_q, active_p, active_q = c0[p], c0[q], active_of[a], active_of[b]
+    size_p, size_q, mask_p, mask_q = c0[p], c0[q], mask_of[a], mask_of[b]
     members_q = state.members_of[b]
     cluster_of = state.cluster_of
     for i in members_q:
         cluster_of[i] = a
     state.members_of[a] += members_q
     state.free.append(b)
-    size_of[a] = c0[p] = size_p + size_q
-    active_of[a] = active_p + active_q
-    state.max_size = max(state.max_size, size_p + size_q)
+    size = size_of[a] = c0[p] = size_p + size_q
+    mask = mask_of[a] = mask_p | mask_q
+    state.max_size = max(state.max_size, size)
     del c0[q], order[q]
     hist[size_p] -= 1
     hist[size_q] -= 1
-    hist[size_p + size_q] += 1
-    act[size_p] -= active_p
-    act[size_q] -= active_q
-    act[size_p + size_q] += active_p + active_q
+    hist[size] += 1
+    size_mask[size_p] ^= mask_p
+    size_mask[size_q] ^= mask_q
+    size_mask[size] |= mask
 
 
 def attempt_clustering(state: SimState, theta_c: float):
@@ -532,9 +504,9 @@ def attempt_clustering(state: SimState, theta_c: float):
         q = rng.integers(cm)
     if p > q:
         p, q = q, p
-    c0, order, active_of = state.c0, state.order, state.active_of
-    if not (active_of[order[p]] / c0[p] < theta_c
-            and active_of[order[q]] / c0[q] < theta_c):
+    c0, order, mask_of, flags = state.c0, state.order, state.mask_of, state.flags
+    if not ((flags & mask_of[order[p]]).bit_count() / c0[p] < theta_c
+            and (flags & mask_of[order[q]]).bit_count() / c0[q] < theta_c):
         return None
     _merge_clusters(state, p, q)
     return (p, q)
@@ -543,19 +515,21 @@ def attempt_clustering(state: SimState, theta_c: float):
 def _split_cluster(state: SimState, a: int, s: int) -> int:
     # The first s members stay in cluster a; the tail becomes a new
     # cluster at the last position.  Returns a's position.
-    hist, act, size_of, active_of = state.hist, state.act, state.size_of, state.active_of
-    size, active = size_of[a], active_of[a]
+    hist, size_mask, size_of, mask_of = state.hist, state.size_mask, state.size_of, state.mask_of
+    size, mask = size_of[a], mask_of[a]
     members = state.members_of[a]
     tail = members[s:]
     del members[s:]
-    tail_active = sum(map(state.flags.__getitem__, tail))
     b = state.free.pop()
     cluster_of = state.cluster_of
+    tail_mask = 0
     for i in tail:
         cluster_of[i] = b
+        tail_mask |= 1 << i
     state.members_of[b] = tail
     size_of[a], size_of[b] = s, size - s
-    active_of[a], active_of[b] = active - tail_active, tail_active
+    head_mask = mask_of[a] = mask ^ tail_mask
+    mask_of[b] = tail_mask
     k = state.order.index(a)
     state.order.append(b)
     state.c0[k] = s
@@ -569,9 +543,9 @@ def _split_cluster(state: SimState, a: int, s: int) -> int:
         while not hist[top]:
             top -= 1
         state.max_size = top
-    act[size] -= active
-    act[s] += active - tail_active
-    act[size - s] += tail_active
+    size_mask[size] ^= mask
+    size_mask[s] |= head_mask
+    size_mask[size - s] |= tail_mask
     return k
 
 
@@ -585,11 +559,11 @@ def attempt_declustering(state: SimState, theta_dec: float):
     uniform over the interior positions.
     """
     rng = state.rng
-    a = state.cluster_of[rng.integers(len(state.flags))]
+    a = state.cluster_of[rng.integers(len(state.cluster_of))]
     size = state.size_of[a]
     if size < 2:
         return None
-    if not (state.active_of[a] / size > theta_dec):
+    if not ((state.flags & state.mask_of[a]).bit_count() / size > theta_dec):
         return None
     s = 1 + rng.integers(size - 1)
     return (_split_cluster(state, a, s), s)
@@ -604,24 +578,25 @@ def apply_boundary_rules(state: SimState) -> str:
     happens.
     """
     cm = len(state.c0)
-    if cm == len(state.flags):
-        state.settle(0, [])
+    if cm == len(state.cluster_of):
+        state.settle(0, 0)
         return "all_inactivated"
     if cm == 1:
-        state.settle(1, [])
+        state.settle(1, 0)
         return "all_activated"
     return "none"
 
 
 def apply_noise(state: SimState, p: float) -> int:
-    """Flip each molecule's activity independently with probability p,
-    through ``SimState.flip``; returns the number of flips.  The flipped
-    molecules and their offset come from ``rng.hits``.  With p <= 0 no
-    random draws are consumed.
+    """Flip each molecule's activity independently with probability p:
+    one ``rng.row`` mask XORed into the flags by ``SimState.flip``;
+    returns the number of flips.  With p <= 0 no random draws are
+    consumed.
     """
     if p <= 0.0:
         return 0
-    return state.flip(*state.rng.hits(len(state.flags), p))
+    row = state.rng.row(len(state.cluster_of), p)
+    return state.flip(row) if row else 0
 
 
 def step(state: SimState, params: SimParams) -> StepReport:
@@ -656,13 +631,14 @@ def audit_consistency(state: SimState) -> list:
     """Cross-check the redundant state lists; returns violation strings.
 
     Verifies that the live ids (``order``) and the ``free`` stack hold
-    every id once, each cluster's size (``c0`` and ``size_of``) against
-    its membership list, its active count against the molecule flags,
-    each member's cluster id, that every molecule appears exactly once,
-    the size tables ``hist``/``act`` and ``max_size`` against a rebuild
-    from the sizes and active counts, and the running ``n_active``
-    against the flags.  Clusters are named by position.  Never mutates
-    the state; an empty list means the invariants hold.
+    every id once, each cluster's size (``c0`` and ``size_of``) and member
+    mask against its membership list, each member's cluster id, that
+    every molecule appears exactly once, the size tables ``hist`` and
+    ``size_mask`` and ``max_size`` against a rebuild from the membership
+    lists, that ``flags`` sets no bit above molecule N-1, and the
+    running ``n_active`` against the flags.  Clusters are named by
+    position.  Never mutates the state; an empty list means the
+    invariants hold.
     """
     out = []
     n = state.n_molecules
@@ -671,9 +647,9 @@ def audit_consistency(state: SimState) -> list:
     if not (1 <= cm <= n):
         out.append(f"cluster count {cm} outside 1..{n}")
     ids = len(state.size_of)
-    if (len(c0), len(state.active_of), len(state.members_of)) != (cm, ids, ids):
+    if (len(c0), len(state.mask_of), len(state.members_of)) != (cm, ids, ids):
         out.append(f"bookkeeping lengths differ: order={cm} c0={len(c0)} size_of={ids} "
-                   f"active_of={len(state.active_of)} members_of={len(state.members_of)}")
+                   f"mask_of={len(state.mask_of)} members_of={len(state.members_of)}")
         return out
     if sorted(order + state.free) != list(range(ids)):
         out.append(f"live and free cluster ids do not hold each of 0..{ids - 1} once")
@@ -682,10 +658,9 @@ def audit_consistency(state: SimState) -> list:
     if total != n:
         out.append(f"cluster sizes sum to {total}, expected {n}")
     flags = state.flags
-    for mol in [i for i, f in enumerate(flags) if f != 0 and f != 1][:5]:
-        out.append(f"molecule {mol}: activity {int(flags[mol])} not 0/1")
-    c1 = state.c1
-    listed = []
+    if flags < 0 or flags >> n:
+        out.append(f"activity flags set bits outside molecules 0..{n - 1}")
+    listed, masks = [], []
     for k, a in enumerate(order):
         members = state.members_of[a]
         if not c0[k] == state.size_of[a] == len(members):
@@ -695,11 +670,12 @@ def audit_consistency(state: SimState) -> list:
         if len(inside) != len(members):
             out.append(f"cluster {k}: member index out of range")
         listed += inside
-        active = int(sum(map(flags.__getitem__, inside)))
-        if c1[k] != active:
-            out.append(f"cluster {k}: recorded active count {c1[k]} != recount {active}")
-        if not (0 <= c1[k] <= c0[k]):
-            out.append(f"cluster {k}: active count {c1[k]} outside 0..{c0[k]}")
+        mask = 0
+        for m in inside:
+            mask |= 1 << m
+        masks.append(mask)
+        if state.mask_of[a] != mask:
+            out.append(f"cluster {k}: member mask != mask of its {len(inside)} members")
         wrong = [m for m in inside if state.cluster_of[m] != a]
         if wrong:
             out.append(f"cluster {k}: member {wrong[0]} has cluster id "
@@ -707,18 +683,16 @@ def audit_consistency(state: SimState) -> list:
     # A size outside 0..n cannot index the tables; the checks above
     # already report it.
     if all(0 <= size <= n for size in c0):
-        for name, kept, values in (("hist", state.hist, repeat(1)), ("act", state.act, c1)):
-            fresh = _sum_by_size(c0, values, n)
+        for name, kept, fresh, show in (
+                ("hist", state.hist, _sum_by_size(c0, repeat(1), n), str),
+                ("size_mask", state.size_mask, _sum_by_size(c0, masks, n), hex)):
             if len(kept) != n + 1:
                 out.append(f"size table {name} has {len(kept)} entries, expected {n + 1}")
                 continue
-            wrong = [size for size in range(n + 1) if kept[size] != fresh[size]]
-            for size in wrong[:5]:
-                out.append(
-                    f"size table {name}[{size}] = {kept[size]} != "
-                    f"rebuild from c0/c1 {fresh[size]}"
-                )
-    flagged = len(flags) - flags.count(0)
+            for size in [size for size in range(n + 1) if kept[size] != fresh[size]][:5]:
+                out.append(f"size table {name}[{size}] = {show(kept[size])} != rebuild from "
+                           f"the membership lists {show(fresh[size])}")
+    flagged = flags.bit_count()
     if state.n_active != flagged:
         out.append(f"n_active {state.n_active} != active flags {flagged}")
     largest = max(c0, default=0)

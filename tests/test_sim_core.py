@@ -33,14 +33,23 @@ class ScriptedRNG:
         return v
 
 
+def bits(indices):
+    """The mask with bit i set for every i in indices."""
+    mask = 0
+    for i in indices:
+        mask |= 1 << int(i)
+    return mask
+
+
 def make_state(clusters, seed=0):
     """Build a consistent SimState from (size, n_active) pairs; the first
     n_active members of each cluster are active."""
-    members, flags = [], []
+    members, flags, n = [], 0, 0
     for size, active in clusters:
         assert 0 <= active <= size
-        members.append(list(range(len(flags), len(flags) + size)))
-        flags.extend([1] * active + [0] * (size - active))
+        members.append(list(range(n, n + size)))
+        flags |= ((1 << active) - 1) << n
+        n += size
     return SimState(members, flags, np.random.default_rng(seed))
 
 
@@ -205,7 +214,7 @@ def test_split_selection_is_size_biased():
 def _mixed_flags(state, seed):
     # Flip about 40% of the molecules through flip, so the state stays consistent.
     picks = np.random.default_rng(seed).random(state.n_molecules) < 0.4
-    state.flip(picks.nonzero()[0].tolist())
+    state.flip(bits(picks.nonzero()[0]))
     assert 0 < state.active_total() < state.n_molecules
     return state
 
@@ -365,10 +374,10 @@ def test_audit_names_corrupted_cluster():
     state.rng = ScriptedRNG([0, 1])
     assert attempt_clustering(state, 0.5) == (0, 1)
     assert state.order == [0, 2, 3]
-    state.active_of[state.order[1]] = 7
-    violations = audit_consistency(state)
-    assert any("cluster 1" in v for v in violations)
-    state.active_of[2] = 1
+    assert (state.mask_of[0], state.mask_of[2]) == (0b11, 0b11100)
+    state.mask_of[state.order[1]] ^= 1 << 5  # molecule 5 belongs to position 2
+    assert audit_consistency(state) == ["cluster 1: member mask != mask of its 3 members"]
+    state.mask_of[2] ^= 1 << 5
     assert audit_consistency(state) == []
     state.cluster_of[3] = 0
     assert audit_consistency(state) == ["cluster 1: member 3 has cluster id 0, not 2"]
@@ -381,17 +390,24 @@ def test_audit_names_corrupted_cluster():
 def test_audit_names_stale_size_tables():
     state = make_state([(3, 1), (2, 0), (2, 2)])
     assert (state.hist[:4], state.act[:4]) == ([0, 0, 2, 1], [0, 0, 2, 1])
-    state.act[2] += 1
-    assert audit_consistency(state) == ["size table act[2] = 3 != rebuild from c0/c1 2"]
-    state.act[2] -= 1
+    assert state.size_mask[:4] == [0, 0, 0b1111000, 0b111]
+    state.size_mask[2] ^= 1 << 3  # molecule 3 left out of the size-2 mask
+    assert audit_consistency(state) == [
+        "size table size_mask[2] = 0x70 != rebuild from the membership lists 0x78"]
+    state.size_mask[2] ^= 1 << 3
     state.hist[3] = 0
-    assert audit_consistency(state) == ["size table hist[3] = 0 != rebuild from c0/c1 1"]
+    assert audit_consistency(state) == [
+        "size table hist[3] = 0 != rebuild from the membership lists 1"]
     state.hist[3] = 1
     state.max_size = 2
     assert audit_consistency(state) == ["max_size 2 != largest cluster size 3"]
     state.max_size = 3
     state.n_active += 1
     assert audit_consistency(state) == ["n_active 4 != active flags 3"]
+    state.n_active -= 1
+    state.flags |= 1 << 7  # one bit above the seven molecules
+    state.n_active += 1
+    assert audit_consistency(state) == ["activity flags set bits outside molecules 0..6"]
 
 
 def test_audit_clean_after_long_mixed_run():
@@ -411,7 +427,7 @@ def test_flip_keeps_counts_exact_and_undoes_itself():
     state = make_state([(4, 2), (1, 1), (3, 0), (1, 0), (4, 4)])
     before = state.clone()
     idx = [0, 3, 4, 6, 7, 8, 9, 12]  # both flags, sizes 1, 3 and 4
-    assert state.flip(idx) == len(idx)
+    assert state.flip(bits(idx)) == len(idx)
     assert state.active_total() == np.count_nonzero(state.m1) == 7
     assert state.m1[idx].tolist() == [0, 1, 0, 1, 1, 1, 0, 0]
     c1 = np.bincount(state.m0[state.m1 != 0], minlength=state.c_max).tolist()
@@ -420,24 +436,29 @@ def test_flip_keeps_counts_exact_and_undoes_itself():
     assert (state.c1, state.act) == (c1, act)
     assert audit_consistency(state) == []
     for part, total in ((idx[:3], 8), (idx[:3], 7), (idx, 7)):
-        assert state.flip(part) == len(part)
+        assert state.flip(bits(part)) == len(part)
         assert state.active_total() == np.count_nonzero(state.m1) == total
     assert np.array_equal(state.m1, before.m1)
-    assert (state.c1, state.act) == (before.c1, before.act)
+    assert (state.flags, state.c1, state.act) == (before.flags, before.c1, before.act)
 
 
-def test_flip_subtracts_its_base_from_every_index():
-    # Draws.hits serves cached noise rows as block indices plus the row's
-    # block offset; flip takes both and must act as on the row indices.
-    state = make_state([(4, 2), (1, 1), (3, 0), (1, 0), (4, 4)])
+def test_flip_toggles_exactly_the_bits_of_its_mask():
+    # A noise row from Draws.row is one mask; flipping it equals flipping
+    # its molecules one at a time.
+    state = make_state([(4, 2), (1, 1), (3, 0), (1, 0), (4, 4)], seed=8)
+    n = state.n_molecules
     expected = state.clone()
-    idx = [0, 3, 4, 6, 7, 8, 9, 12]
-    assert state.flip([i + 610 for i in idx], 610) == expected.flip(idx) == len(idx)
-    assert np.array_equal(state.m1, expected.m1)
-    assert (state.c1, state.act, state.n_active) == (expected.c1, expected.act,
-                                                      expected.n_active)
-    assert state.flip(range(3, 6), 3) == 3  # the p >= 1 form, at a nonzero base
-    assert state.m1[:3].tolist() == (1 - expected.m1[:3]).tolist()
+    row = state.rng.row(n, 0.5)
+    assert 0 < row < 1 << n
+    assert state.flip(row) == row.bit_count()
+    for i in range(n):
+        if row >> i & 1:
+            assert expected.flip(1 << i) == 1
+    assert (state.flags, state.c1, state.act, state.n_active) == (
+        expected.flags, expected.c1, expected.act, expected.n_active)
+    assert state.flip(0) == 0 and state.flags == expected.flags
+    assert state.flip((1 << n) - 1) == n  # the p >= 1 row inverts everyone
+    assert state.m1.tolist() == (1 - expected.m1).tolist()
     assert audit_consistency(state) == []
 
 
@@ -453,23 +474,19 @@ def test_settle_matches_flipping_the_complement(sizes, data):
     state = make_state([(size, 0) for size in sizes])
     n = state.n_molecules
     mixed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    state.flip([i for i in range(n) if mixed[i]])
+    state.flip(bits(i for i in range(n) if mixed[i]))
     value = data.draw(st.sampled_from([0, 1]))
     holders = [i for i in range(n) if state.m1[i] != value]
     keep = data.draw(st.lists(st.sampled_from(holders), unique=True)) if holders else []
     kept = set(keep)
     expected = state.clone()
-    flips = expected.flip([i for i in holders if i not in kept])
-    flags = state.flags
+    flips = expected.flip(bits(i for i in holders if i not in kept))
 
-    assert state.settle(value, keep) == flips
-    assert state.flags is flags
+    assert state.settle(value, bits(keep)) == flips
     assert state.flags == expected.flags
     assert (state.c1, state.act) == (expected.c1, expected.act)
-    assert state.n_active == expected.n_active == sum(state.flags)
+    assert state.n_active == expected.n_active == int(state.m1.sum())
     assert audit_consistency(state) == []
-    state.flip([0])  # flip still writes the list settle wrote
-    assert flags[0] != expected.flags[0]
 
 
 cluster_specs = st.lists(
@@ -585,7 +602,11 @@ class PositionalModel:
         assert (state.c0, state.c1, state.cl) == (self.c0, self.c1, self.cl)
         assert state.m0.tolist() == self.m0 and state.m1.tolist() == self.m1
         n = len(self.m1)
+        assert state.flags == bits(i for i in range(n) if self.m1[i])
+        assert [state.mask_of[k] for k in state.order] == [bits(m) for m in self.cl]
         assert state.hist == [self.c0.count(size) for size in range(n + 1)]
+        assert state.size_mask == [bits(i for m in self.cl if len(m) == size for i in m)
+                                   for size in range(n + 1)]
         assert state.act == [sum(a for s, a in zip(self.c0, self.c1) if s == size)
                              for size in range(n + 1)]
         assert (state.max_size, state.n_active) == (max(self.c0), sum(self.m1))
@@ -596,8 +617,9 @@ class PositionalModel:
 @settings(max_examples=150, deadline=None)
 def test_stable_ids_match_the_positional_model(specs, data):
     """Random merges, splits, flips and settles through scripted draws:
-    after each one, the positional views of the stable-id state equal a
-    model that compacts indices."""
+    after each one, the positional views, the member and size masks and
+    the counts read through them equal a model that compacts indices and
+    recounts from a flag list."""
     state, model = make_state(specs), PositionalModel(specs)
     n = len(model.m1)
     for _ in range(data.draw(st.integers(1, 30))):
@@ -625,15 +647,14 @@ def test_stable_ids_match_the_positional_model(specs, data):
                 model.split(k, cut + 1)
         elif op == "flip":
             idx = data.draw(st.lists(st.integers(0, n - 1), unique=True))
-            base = data.draw(st.sampled_from([0, 7]))
-            assert state.flip([i + base for i in idx], base) == len(idx)
+            assert state.flip(bits(idx)) == len(idx)
             model.flip(idx)
         elif op == "settle":
             value = data.draw(st.sampled_from([0, 1]))
             holders = [i for i in range(n) if model.m1[i] != value]
             keep = data.draw(st.lists(st.sampled_from(holders), unique=True)) if holders else []
             changed = n - len(keep) - model.m1.count(value)
-            assert state.settle(value, keep) == changed
+            assert state.settle(value, bits(keep)) == changed
             model.settle(value, keep)
         model.assert_matches(state)
 
@@ -646,4 +667,8 @@ def test_state_fields_are_python_lists_and_ints():
         step(state, params)
     kinds = {name: type(getattr(state, name)) for name in SimState.__slots__ if name != "rng"}
     assert set(kinds.values()) == {int, list}, kinds
-    assert all(type(v) is int for v in state.flags + state.cluster_of + state.c0)
+    # Activity is one int: no flag list, per-id active count or act table.
+    assert kinds["flags"] is int and 0 <= state.flags < 1 << params.n_molecules
+    assert not {"active_of", "act"} & set(SimState.__slots__)
+    values = state.cluster_of + state.c0 + state.hist + state.size_mask + state.mask_of
+    assert all(type(v) is int for v in values)
