@@ -150,6 +150,8 @@ def main(argv=None) -> int:
                     help="run bench/run.py --trace 1: compare the per-layer times "
                          "and check that the counts repeat")
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
     wall = "trace.run_s" if args.trace else "run_s"

@@ -93,6 +93,8 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=30)
     ap.add_argument("--seed", type=int, default=0, help="round i runs at seed SEED + i")
     args = ap.parse_args(argv)
+    if args.rounds < 1:
+        ap.error("--rounds must be at least 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
 
     times = {side: [] for side in SIDES}

@@ -314,12 +314,12 @@ def run_simulation(params: SimParams, record_every: int = 1) -> tuple:
     steps = params.max_steps
     state = init_state(params)
     cc = [len(state.c0)]
-    ac = [state.n_active]
+    ac = [state.flags.bit_count()]
     for t in range(1, steps + 1):
         step(state, params)
         if not t % record_every:
             cc.append(len(state.c0))
-            ac.append(state.n_active)
+            ac.append(state.flags.bit_count())
     cc = np.array(cc, dtype=np.int64)
     ac = np.array(ac, dtype=np.int64)
     violations = audit_consistency(state)
@@ -900,7 +900,7 @@ def main(argv: Optional[list] = None) -> int:
             verify_run(args.run_dir)
             return 0
         config = _apply_overrides(_resolve_config(args.command, args.scenario), args)
-        manifest = run_scenario(config, args.out)
+        manifest = run_scenario(config)
         out_dir = manifest["output_dir"]
         for rel_path in sorted(manifest["files"]):
             print(f"wrote {os.path.join(out_dir, rel_path)}")

@@ -264,11 +264,11 @@ class Lattice:
     """Finite lattice of subsets of a ground set, ordered by inclusion.
 
     Elements are stored as bitmasks sorted numerically, so the empty set
-    comes first and the full ground set last.  Meets and joins are
-    resolved against the element set itself: the meet of two elements is
-    the union of all elements below both, the join the intersection of
-    all elements above both, and either raises if that resolvent is not
-    itself an element (the family then fails to be a lattice).
+    comes first and the full ground set last.  The meet and join tables
+    the law checks read are built on first use by the cover recursion
+    (``_tables``), which raises ValueError when a pair has no least upper
+    bound: the family is then not a lattice.  `meet_join` resolves one
+    pair against the element set instead, without the tables.
     """
 
     def __init__(self, universe: int, masks: Iterable[int]):

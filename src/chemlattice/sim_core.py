@@ -18,8 +18,8 @@ and activity is held the same way: one int of flags plus a member mask
 per cluster and per cluster size.  So a noise row is one XOR and a kick
 or reset a few operations on N-bit ints, whatever the number of
 molecules that flip; a cluster's active count is the bit count of its
-mask ANDed with the flags.  A state is not safe to share between
-threads; parameter sweeps use independent states.
+mask ANDed with the flags, and its id is its first member.  A state is
+not safe to share between threads; sweeps use independent states.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ __all__ = [
 class NoiseSchedule:
     """Per-step activity-flip probability, flat or linearly ramped.
 
-    A ramp contributes nothing before ``onset_step`` and then grows
-    linearly from ``p0`` at ``rate`` per step, clamped to [0, 1].
+    A constant schedule is ``p0`` throughout and takes no ramp fields; a
+    ramp contributes nothing before ``onset_step`` and then grows linearly
+    from ``p0`` at ``rate`` per step, clamped to [0, 1].
     """
 
     kind: Literal["constant", "ramp"] = "constant"
@@ -73,6 +74,9 @@ class NoiseSchedule:
             raise ConfigError(f"noise ramp rate must be >= 0, got {self.rate}")
         if self.onset_step < 0:
             raise ConfigError(f"onset_step must be >= 0, got {self.onset_step}")
+        for name in ("rate", "onset_step") if self.kind == "constant" else ():
+            if getattr(self, name):
+                raise ConfigError(f"a constant noise schedule takes no {name}")
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "p0": self.p0}
@@ -314,16 +318,17 @@ class SimState:
     """Mutable simulation state: Python lists of ints, and activity held
     as bitmasks.
 
-    Each cluster has a stable id, kept until a merge absorbs it; freed ids
-    go on the ``free`` stack, and a split takes the last one.  Per id,
-    ``size_of``, ``members_of`` and ``mask_of`` hold the cluster's size,
-    its members in insertion order (merges append the absorbed cluster's
-    members; splits cut the list at the drawn point) and the same members
-    as a bitmask (bit i for molecule i); a free id's entries are stale.
-    ``cluster_of[i]`` is molecule i's cluster id.  ``flags`` is one int
-    whose bit i is molecule i's activity, and ``n_active`` its bit count.
-    A cluster's active count is ``(flags & mask_of[k]).bit_count()``, read
-    when a gate needs it; nothing per cluster is kept for it.
+    A cluster's id is its first member: a merge appends the absorbed
+    cluster's members to the kept one's, and a split gives the tail its
+    own first member as id, which no live cluster holds.  Per id,
+    ``members_of`` and ``mask_of`` hold the cluster's members in insertion
+    order and the same members as a bitmask (bit i for molecule i); the
+    entries of a molecule that is no id are stale.  ``cluster_of[i]`` is
+    molecule i's cluster id.  ``flags`` is one int whose bit i is molecule
+    i's activity, and ``n_active`` reads its bit count.  A cluster's size
+    is the length of its member list and its active count
+    ``(flags & mask_of[k]).bit_count()``, read when a gate needs it;
+    neither is kept by id.
 
     The draws and reports speak in *positions*: ``order`` lists the live
     ids by position, dense 0..c_max-1, and ``c0`` their sizes.  A merge
@@ -349,34 +354,35 @@ class SimState:
     object is kept as it is and needs only the methods its phases call.
     """
 
-    __slots__ = ("t", "rng", "order", "c0", "size_of", "members_of", "mask_of", "free",
-                 "cluster_of", "flags", "hist", "size_mask", "max_size", "n_active")
+    __slots__ = ("t", "rng", "order", "c0", "members_of", "mask_of", "cluster_of", "flags",
+                 "hist", "size_mask", "max_size")
 
     def __init__(self, members, flags: int, rng, t: int = 0) -> None:
         self.t = t
         self.rng = Draws(rng) if isinstance(rng, np.random.Generator) else rng
         self.flags = flags
-        self.n_active = flags.bit_count()
-        cm = len(members)
         n = sum(map(len, members))
-        self.members_of = list(map(list, members)) + [None] * (n - cm)
-        self.size_of = list(map(len, members)) + [0] * (n - cm)
+        members_of = self.members_of = [None] * n
         mask_of = self.mask_of = [0] * n
         cluster_of = self.cluster_of = [-1] * n
-        for k, m in enumerate(members):
+        self.order = [m[0] for m in members]
+        for a, m in zip(self.order, members):
+            members_of[a] = list(m)
             for i in m:
-                cluster_of[i] = k
-                mask_of[k] |= 1 << i
-        self.order = list(range(cm))
-        self.free = list(range(n - 1, cm - 1, -1))
-        self.c0 = self.size_of[:cm]
+                cluster_of[i] = a
+                mask_of[a] |= 1 << i
+        self.c0 = list(map(len, members))
         self.hist = _sum_by_size(self.c0, repeat(1), n)
-        self.size_mask = _sum_by_size(self.c0, mask_of, n)
+        self.size_mask = _sum_by_size(self.c0, [mask_of[a] for a in self.order], n)
         self.max_size = max(self.c0, default=0)
 
     @property
     def n_molecules(self) -> int:
         return len(self.cluster_of)
+
+    @property
+    def n_active(self) -> int:
+        return self.flags.bit_count()
 
     @property
     def c_max(self) -> int:
@@ -410,8 +416,7 @@ class SimState:
     def flip(self, mask: int) -> int:
         """Toggle the activity of the molecules in ``mask`` (bit i for
         molecule i), as ``Draws.row`` returns them; returns their number."""
-        flags = self.flags = self.flags ^ mask
-        self.n_active = flags.bit_count()
+        self.flags ^= mask
         return mask.bit_count()
 
     def settle(self, value: int, keep: int) -> int:
@@ -421,16 +426,12 @@ class SimState:
         flags = ((1 << len(self.cluster_of)) - 1 if value else 0) ^ keep
         changed = (flags ^ self.flags).bit_count()
         self.flags = flags
-        self.n_active = flags.bit_count()
         return changed
-
-    def active_total(self) -> int:
-        return self.n_active
 
     def clone(self) -> "SimState":
         """Deep copy that replays identically to the original.  The draw
         source is copied at its logical position (`Draws.clone`), which
-        touches no generator.  The copy numbers its ids by position."""
+        touches no generator.  The copy keeps the ids, the first members."""
         return SimState(self.cl, self.flags, self.rng.clone(), self.t)
 
 
@@ -463,9 +464,9 @@ def _sum_by_size(sizes, values, n: int) -> list:
 
 
 def _merge_clusters(state: SimState, p: int, q: int) -> None:
-    # p < q; q's members join p's id, then q leaves the positions.
+    # p < q; q's members follow p's, whose first member stays the id.
     c0, hist, size_mask = state.c0, state.hist, state.size_mask
-    order, size_of, mask_of = state.order, state.size_of, state.mask_of
+    order, mask_of = state.order, state.mask_of
     a, b = order[p], order[q]
     size_p, size_q, mask_p, mask_q = c0[p], c0[q], mask_of[a], mask_of[b]
     members_q = state.members_of[b]
@@ -473,8 +474,7 @@ def _merge_clusters(state: SimState, p: int, q: int) -> None:
     for i in members_q:
         cluster_of[i] = a
     state.members_of[a] += members_q
-    state.free.append(b)
-    size = size_of[a] = c0[p] = size_p + size_q
+    size = c0[p] = size_p + size_q
     mask = mask_of[a] = mask_p | mask_q
     state.max_size = max(state.max_size, size)
     del c0[q], order[q]
@@ -513,21 +513,20 @@ def attempt_clustering(state: SimState, theta_c: float):
 
 
 def _split_cluster(state: SimState, a: int, s: int) -> int:
-    # The first s members stay in cluster a; the tail becomes a new
-    # cluster at the last position.  Returns a's position.
-    hist, size_mask, size_of, mask_of = state.hist, state.size_mask, state.size_of, state.mask_of
-    size, mask = size_of[a], mask_of[a]
-    members = state.members_of[a]
+    # The first s members stay in cluster a; the tail becomes a new cluster,
+    # its first member the id, at the last position.  Returns a's position.
+    hist, size_mask, mask_of = state.hist, state.size_mask, state.mask_of
+    members, mask = state.members_of[a], mask_of[a]
+    size = len(members)
     tail = members[s:]
     del members[s:]
-    b = state.free.pop()
+    b = tail[0]
     cluster_of = state.cluster_of
     tail_mask = 0
     for i in tail:
         cluster_of[i] = b
         tail_mask |= 1 << i
     state.members_of[b] = tail
-    size_of[a], size_of[b] = s, size - s
     head_mask = mask_of[a] = mask ^ tail_mask
     mask_of[b] = tail_mask
     k = state.order.index(a)
@@ -560,7 +559,7 @@ def attempt_declustering(state: SimState, theta_dec: float):
     """
     rng = state.rng
     a = state.cluster_of[rng.integers(len(state.cluster_of))]
-    size = state.size_of[a]
+    size = len(state.members_of[a])
     if size < 2:
         return None
     if not ((state.flags & state.mask_of[a]).bit_count() / size > theta_dec):
@@ -630,15 +629,14 @@ def step(state: SimState, params: SimParams) -> StepReport:
 def audit_consistency(state: SimState) -> list:
     """Cross-check the redundant state lists; returns violation strings.
 
-    Verifies that the live ids (``order``) and the ``free`` stack hold
-    every id once, each cluster's size (``c0`` and ``size_of``) and member
-    mask against its membership list, each member's cluster id, that
-    every molecule appears exactly once, the size tables ``hist`` and
+    Verifies that the live ids (``order``) are distinct and each is its
+    cluster's first member, each cluster's size (``c0``) and member mask
+    against its membership list, each member's cluster id, that every
+    molecule appears exactly once, the size tables ``hist`` and
     ``size_mask`` and ``max_size`` against a rebuild from the membership
-    lists, that ``flags`` sets no bit above molecule N-1, and the
-    running ``n_active`` against the flags.  Clusters are named by
-    position.  Never mutates the state; an empty list means the
-    invariants hold.
+    lists, and that ``flags`` sets no bit above molecule N-1.  Clusters
+    are named by position.  Never mutates the state; an empty list means
+    the invariants hold.
     """
     out = []
     n = state.n_molecules
@@ -646,13 +644,12 @@ def audit_consistency(state: SimState) -> list:
     cm = len(order)
     if not (1 <= cm <= n):
         out.append(f"cluster count {cm} outside 1..{n}")
-    ids = len(state.size_of)
-    if (len(c0), len(state.mask_of), len(state.members_of)) != (cm, ids, ids):
-        out.append(f"bookkeeping lengths differ: order={cm} c0={len(c0)} size_of={ids} "
+    if (len(c0), len(state.mask_of), len(state.members_of)) != (cm, n, n):
+        out.append(f"bookkeeping lengths differ: order={cm} c0={len(c0)} "
                    f"mask_of={len(state.mask_of)} members_of={len(state.members_of)}")
         return out
-    if sorted(order + state.free) != list(range(ids)):
-        out.append(f"live and free cluster ids do not hold each of 0..{ids - 1} once")
+    if len(set(order)) != cm or not all(0 <= a < n for a in order):
+        out.append(f"live cluster ids are not {cm} distinct molecules of 0..{n - 1}")
         return out
     total = sum(c0)
     if total != n:
@@ -662,10 +659,12 @@ def audit_consistency(state: SimState) -> list:
         out.append(f"activity flags set bits outside molecules 0..{n - 1}")
     listed, masks = [], []
     for k, a in enumerate(order):
-        members = state.members_of[a]
-        if not c0[k] == state.size_of[a] == len(members):
-            out.append(f"cluster {k}: recorded size {c0[k]} (id {a}: {state.size_of[a]}) "
-                       f"!= membership length {len(members)}")
+        members = state.members_of[a] or []
+        if members[:1] != [a]:
+            out.append(f"cluster {k}: id {a} is not its first member")
+        if c0[k] != len(members):
+            out.append(f"cluster {k}: recorded size {c0[k]} != membership length "
+                       f"{len(members)}")
         inside = [m for m in members if 0 <= m < n]
         if len(inside) != len(members):
             out.append(f"cluster {k}: member index out of range")
@@ -692,9 +691,6 @@ def audit_consistency(state: SimState) -> list:
             for size in [size for size in range(n + 1) if kept[size] != fresh[size]][:5]:
                 out.append(f"size table {name}[{size}] = {show(kept[size])} != rebuild from "
                            f"the membership lists {show(fresh[size])}")
-    flagged = flags.bit_count()
-    if state.n_active != flagged:
-        out.append(f"n_active {state.n_active} != active flags {flagged}")
     largest = max(c0, default=0)
     if state.max_size != largest:
         out.append(f"max_size {state.max_size} != largest cluster size {largest}")

@@ -275,12 +275,12 @@ def test_run_simulation_records_the_state_after_every_kth_step():
                        max_steps=100, seed=4)
     series, _ = run_simulation(params, record_every=7)
     state = sim_core.init_state(params)
-    cc, ac = [state.c_max], [state.active_total()]
+    cc, ac = [state.c_max], [state.n_active]
     for t in range(1, 101):
         sim_core.step(state, params)
         if t % 7 == 0:
             cc.append(state.c_max)
-            ac.append(state.active_total())
+            ac.append(state.n_active)
     assert series.cluster_count.dtype == series.active_count.dtype == np.int64
     assert (series.cluster_count.tolist(), series.active_count.tolist()) == (cc, ac)
 

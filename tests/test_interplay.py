@@ -61,14 +61,14 @@ def test_kick_with_certain_participation_goes_all_active():
     state = make_state([(10, 3)], seed=1)
     flips = coherence_kick(state, 0.3, p_coh=1.0, theta_a=0.3)
     assert flips == 7
-    assert state.active_total() == 10
+    assert state.n_active == 10
     assert audit_consistency(state) == []
 
 
 def test_kick_with_certain_participation_goes_all_inactive():
     state = make_state([(10, 7)], seed=1)
     coherence_kick(state, 0.7, p_coh=1.0, theta_a=0.3)
-    assert state.active_total() == 0
+    assert state.n_active == 0
 
 
 def test_kick_rejects_out_of_band_ratio_without_mutating():
@@ -98,12 +98,12 @@ def test_run_interplay_fires_only_inside_band():
     out = run_interplay(state, params)
     assert out.mode_size == 10 and out.representative == 0
     assert out.r_a == 0.5 and out.kicked
-    assert state.active_total() == 0  # pushed toward inactive
+    assert state.n_active == 0  # pushed toward inactive
 
     pure = make_state([(10, 10), (4, 0)], seed=5)
     out = run_interplay(pure, params)
     assert not out.kicked and out.flips == 0
-    assert pure.active_total() == 10
+    assert pure.n_active == 10
 
 
 @pytest.mark.parametrize("clusters, kicked", [([(10, 5), (10, 10)], True),
@@ -134,7 +134,7 @@ def test_pooled_ratio_aggregates_all_modal_clusters():
         interplay_enabled=True, pooled_modal_ratio=True,
     ))
     assert out.r_a == 0.5 and out.kicked
-    assert pooled.active_total() == 0
+    assert pooled.n_active == 0
 
 
 def test_interplay_is_inert_without_noise():

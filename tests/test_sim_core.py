@@ -32,6 +32,9 @@ class ScriptedRNG:
         assert 0 <= v < high, f"scripted draw {v} outside 0..{high - 1}"
         return v
 
+    def clone(self):
+        return ScriptedRNG(self.script)
+
 
 def bits(indices):
     """The mask with bit i set for every i in indices."""
@@ -59,7 +62,7 @@ def make_state(clusters, seed=0):
 def test_init_200_inactive_singletons():
     state = init_state(SimParams(n_molecules=200))
     assert state.c_max == 200
-    assert state.active_total() == 0
+    assert state.n_active == 0
     assert state.c0 == [1] * 200
     assert state.c1 == [0] * 200
     assert audit_consistency(state) == []
@@ -68,7 +71,7 @@ def test_init_200_inactive_singletons():
 def test_init_smallest_system():
     state = init_state(SimParams(n_molecules=2))
     assert state.c_max == 2
-    assert state.active_total() == 0
+    assert state.n_active == 0
 
 
 def test_init_same_seed_is_bit_identical():
@@ -91,6 +94,16 @@ def test_params_validation():
         NoiseSchedule(kind="bogus")
     with pytest.raises(ConfigError):
         NoiseSchedule(p0=-0.1)
+
+
+@pytest.mark.parametrize("field", ["rate", "onset_step"])
+def test_constant_schedule_rejects_ramp_fields(field):
+    # kind defaults to "constant", so a ramp block without its kind would
+    # otherwise run at p0 and drop the field from summary.json.
+    with pytest.raises(ConfigError, match=field):
+        NoiseSchedule(p0=0.0, **{field: 100})
+    assert NoiseSchedule(kind="constant", p0=0.05, rate=0.0, onset_step=0).to_dict() == {
+        "kind": "constant", "p0": 0.05}
 
 
 # ------------------------------------------------------------- merging
@@ -215,14 +228,14 @@ def _mixed_flags(state, seed):
     # Flip about 40% of the molecules through flip, so the state stays consistent.
     picks = np.random.default_rng(seed).random(state.n_molecules) < 0.4
     state.flip(bits(picks.nonzero()[0]))
-    assert 0 < state.active_total() < state.n_molecules
+    assert 0 < state.n_active < state.n_molecules
     return state
 
 
 def test_boundary_full_fragmentation_inactivates():
     state = make_state([(1, 1)] * 200)
     assert apply_boundary_rules(state) == "all_inactivated"
-    assert state.active_total() == 0
+    assert state.n_active == 0
     assert state.c1 == [0] * 200
     for seed in range(3):
         state = _mixed_flags(make_state([(1, 0)] * 200), seed)
@@ -236,7 +249,7 @@ def test_boundary_full_fragmentation_inactivates():
 def test_boundary_full_aggregation_activates():
     state = make_state([(200, 37)])
     assert apply_boundary_rules(state) == "all_activated"
-    assert state.active_total() == 200
+    assert state.n_active == 200
     assert state.c1 == [200]
     for seed in range(3):
         state = _mixed_flags(make_state([(200, 0)]), seed)
@@ -311,12 +324,12 @@ def test_noise_free_aggregation_runs_straight_to_one():
     params = SimParams(n_molecules=200, seed=7)
     state = init_state(params)
     for i in range(199):
-        assert state.active_total() == 0
+        assert state.n_active == 0
         report = step(state, params)
         assert report.split is None
     assert state.c_max == 1
     assert report.boundary == "all_activated"
-    assert state.active_total() == 200
+    assert state.n_active == 200
 
 
 def test_step_streams_replay_exactly():
@@ -373,7 +386,7 @@ def test_audit_names_corrupted_cluster():
     state = make_state([(1, 0), (1, 0), (3, 1), (2, 0)])
     state.rng = ScriptedRNG([0, 1])
     assert attempt_clustering(state, 0.5) == (0, 1)
-    assert state.order == [0, 2, 3]
+    assert state.order == [0, 2, 5]
     assert (state.mask_of[0], state.mask_of[2]) == (0b11, 0b11100)
     state.mask_of[state.order[1]] ^= 1 << 5  # molecule 5 belongs to position 2
     assert audit_consistency(state) == ["cluster 1: member mask != mask of its 3 members"]
@@ -382,9 +395,13 @@ def test_audit_names_corrupted_cluster():
     state.cluster_of[3] = 0
     assert audit_consistency(state) == ["cluster 1: member 3 has cluster id 0, not 2"]
     state.cluster_of[3] = 2
-    state.free.append(3)
-    assert audit_consistency(state) == [
-        "live and free cluster ids do not hold each of 0..6 once"]
+    members = state.members_of[2]
+    members.append(members.pop(0))  # the same members, with id 2 no longer first
+    assert audit_consistency(state) == ["cluster 1: id 2 is not its first member"]
+    members.insert(0, members.pop())
+    assert audit_consistency(state) == []
+    state.order[2] = 2
+    assert audit_consistency(state) == ["live cluster ids are not 3 distinct molecules of 0..6"]
 
 
 def test_audit_names_stale_size_tables():
@@ -402,11 +419,7 @@ def test_audit_names_stale_size_tables():
     state.max_size = 2
     assert audit_consistency(state) == ["max_size 2 != largest cluster size 3"]
     state.max_size = 3
-    state.n_active += 1
-    assert audit_consistency(state) == ["n_active 4 != active flags 3"]
-    state.n_active -= 1
     state.flags |= 1 << 7  # one bit above the seven molecules
-    state.n_active += 1
     assert audit_consistency(state) == ["activity flags set bits outside molecules 0..6"]
 
 
@@ -428,7 +441,7 @@ def test_flip_keeps_counts_exact_and_undoes_itself():
     before = state.clone()
     idx = [0, 3, 4, 6, 7, 8, 9, 12]  # both flags, sizes 1, 3 and 4
     assert state.flip(bits(idx)) == len(idx)
-    assert state.active_total() == np.count_nonzero(state.m1) == 7
+    assert state.n_active == np.count_nonzero(state.m1) == 7
     assert state.m1[idx].tolist() == [0, 1, 0, 1, 1, 1, 0, 0]
     c1 = np.bincount(state.m0[state.m1 != 0], minlength=state.c_max).tolist()
     act = [sum(a for s, a in zip(state.c0, c1) if s == size)
@@ -437,7 +450,7 @@ def test_flip_keeps_counts_exact_and_undoes_itself():
     assert audit_consistency(state) == []
     for part, total in ((idx[:3], 8), (idx[:3], 7), (idx, 7)):
         assert state.flip(bits(part)) == len(part)
-        assert state.active_total() == np.count_nonzero(state.m1) == total
+        assert state.n_active == np.count_nonzero(state.m1) == total
     assert np.array_equal(state.m1, before.m1)
     assert (state.flags, state.c1, state.act) == (before.flags, before.c1, before.act)
 
@@ -610,6 +623,9 @@ class PositionalModel:
         assert state.act == [sum(a for s, a in zip(self.c0, self.c1) if s == size)
                              for size in range(n + 1)]
         assert (state.max_size, state.n_active) == (max(self.c0), sum(self.m1))
+        # A cluster's id is its first member, and a copy keeps the ids.
+        assert state.order == [members[0] for members in self.cl]
+        assert state.clone().order == state.order
         assert audit_consistency(state) == []
 
 
@@ -670,5 +686,8 @@ def test_state_fields_are_python_lists_and_ints():
     # Activity is one int: no flag list, per-id active count or act table.
     assert kinds["flags"] is int and 0 <= state.flags < 1 << params.n_molecules
     assert not {"active_of", "act"} & set(SimState.__slots__)
+    # Sizes by id are member-list lengths, ids are first members and the
+    # active count is read from the flags: none of these is stored.
+    assert not {"size_of", "free", "n_active"} & set(SimState.__slots__)
     values = state.cluster_of + state.c0 + state.hist + state.size_mask + state.mask_of
     assert all(type(v) is int for v in values)
