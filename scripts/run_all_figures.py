@@ -21,21 +21,23 @@ from chemlattice import harness
 def main() -> int:
     ap = argparse.ArgumentParser(description="Run all builtin scenarios")
     ap.add_argument("--out", type=Path, default=Path("runs"))
-    ap.add_argument("--seed", type=int, default=None, help="override master seed")
+    ap.add_argument("--seed", type=int, default=None,
+                    help="override the master seed of every simulator scenario")
     ap.add_argument("--skip-sweeps", action="store_true")
     ap.add_argument("--check", action="store_true", help="run scenario checks too")
     args = ap.parse_args()
 
     failures = []
     for name in harness.BUILTIN_NAMES:
-        is_sweep = harness.builtin_config(name).kind == "sweep"
+        config = harness.builtin_config(name)
+        is_sweep = config.kind == "sweep"
         if args.skip_sweeps and is_sweep:
             print(f"[skip] {name}")
             continue
         out_dir = args.out / name
         command = "sweep" if is_sweep else "run"
         argv = [command, name, "--out", str(out_dir)]
-        if args.seed is not None:
+        if args.seed is not None and config.sim is not None:
             argv += ["--seed", str(args.seed)]
         if args.check:
             argv.append("--check")

@@ -105,12 +105,19 @@ _KINDS = _SIM_KINDS + ("lattice",)
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """A scenario.  Every kind takes name, output_dir and analysis.
+    "single" takes sim (default SimParams()) with a constant
+    sim.noise_schedule, and record_every; "ramp" the same with a ramp
+    schedule; "sweep" those of "single" plus sweep_values and
+    seeds_per_value, each value replacing the schedule's p0; "lattice"
+    takes relation_source.  A field its kind does not take must keep its
+    default."""
+
     name: str
     kind: str
     sim: Optional[SimParams] = None
     sweep_values: Optional[tuple[float, ...]] = None
     seeds_per_value: int = 1
-    ramp: Optional[NoiseSchedule] = None
     relation_source: Optional[str] = None
     output_dir: Optional[str] = None
     record_every: int = 1
@@ -130,11 +137,16 @@ class ScenarioConfig:
                 object.__setattr__(self, "sim", SimParams())
             if self.relation_source is not None:
                 raise ConfigError(f"relation_source is not valid for kind {self.kind!r}")
+            want = "ramp" if self.kind == "ramp" else "constant"
+            if self.sim.noise_schedule.kind != want:
+                raise ConfigError(f"{self.kind} scenarios need a {want} sim.noise_schedule")
         else:
             if self.relation_source is None:
                 raise ConfigError("lattice scenarios require relation_source")
             if self.sim is not None:
                 raise ConfigError("sim parameters are not valid for lattice scenarios")
+            if self.record_every != 1:
+                raise ConfigError("record_every is not valid for lattice scenarios")
         if self.kind == "sweep":
             if not self.sweep_values:
                 raise ConfigError("sweep scenarios require non-empty sweep_values")
@@ -143,15 +155,9 @@ class ScenarioConfig:
                 if not 0.0 <= v <= 1.0:
                     raise ConfigError(f"sweep value {v} outside [0, 1]")
             object.__setattr__(self, "sweep_values", vals)
-        elif self.sweep_values is not None:
-            raise ConfigError(f"sweep_values is not valid for kind {self.kind!r}")
-        if self.kind == "ramp":
-            if self.ramp is None:
-                raise ConfigError("ramp scenarios require a ramp noise schedule")
-            if self.ramp.kind != "ramp":
-                raise ConfigError("the ramp block must have kind 'ramp'")
-        elif self.ramp is not None:
-            raise ConfigError(f"ramp is not valid for kind {self.kind!r}")
+        elif self.sweep_values is not None or self.seeds_per_value != 1:
+            name = "seeds_per_value" if self.sweep_values is None else "sweep_values"
+            raise ConfigError(f"{name} is not valid for kind {self.kind!r}")
 
 
 def _from_json(cls, obj, where: str):
@@ -199,6 +205,12 @@ def _json_value(hint, value, path: str):
     if wrong_bool or not isinstance(value, (int, float) if hint is float else hint):
         want = "a number" if hint is float else hint.__name__
         raise ConfigError(f"{path} must be {want}, got {type(value).__name__}")
+    # A float field stores an integer as a float: 0 and 0.0 write one summary.json.
+    if hint is float:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{path} is too large for a float") from None
     # json.load accepts NaN and Infinity, which no float setting can use.
     if isinstance(value, float) and not math.isfinite(value):
         raise ConfigError(f"{path} must be a finite number, got {value}")
@@ -231,64 +243,58 @@ _SPIKE_REGIME = dict(
     pooled_modal_ratio=True,
 )
 
-_SWEEP_VALUES = (0.0, 1e-6, 5e-4, 5e-3, 7.5e-3, 5e-2)
+_BUILTINS = {
+    "fig9a": ScenarioConfig(
+        name="fig9a",
+        kind="single",
+        sim=SimParams(noise_schedule=NoiseSchedule(p0=0.0), max_steps=100_000, seed=11),
+    ),
+    "fig9b": ScenarioConfig(
+        name="fig9b",
+        kind="single",
+        sim=SimParams(noise_schedule=NoiseSchedule(p0=0.05), max_steps=66_536, seed=11),
+        analysis=AnalysisOptions(burn_in=1000),
+    ),
+    "fig9c": ScenarioConfig(
+        name="fig9c",
+        kind="single",
+        sim=SimParams(
+            noise_schedule=NoiseSchedule(p0=0.05), max_steps=100_000, seed=11, **_SPIKE_REGIME
+        ),
+    ),
+    "fig11": ScenarioConfig(
+        name="fig11",
+        kind="sweep",
+        sim=SimParams(max_steps=60_000, seed=11, **_SPIKE_REGIME),
+        sweep_values=(0.0, 1e-6, 5e-4, 5e-3, 7.5e-3, 5e-2),
+        seeds_per_value=5,
+    ),
+    "fig12": ScenarioConfig(
+        name="fig12",
+        kind="ramp",
+        sim=SimParams(
+            noise_schedule=NoiseSchedule(kind="ramp", p0=0.0, rate=2.5e-6, onset_step=10_000),
+            max_steps=40_000, seed=11, **_SPIKE_REGIME,
+        ),
+    ),
+    "fig5-lattice": ScenarioConfig(
+        name="fig5-lattice", kind="lattice", relation_source="blocks:4,4"
+    ),
+    "fig4-lattice": ScenarioConfig(
+        name="fig4-lattice", kind="lattice", relation_source="blocks:3,3,2:overlap=3"
+    ),
+}
+_BUILTINS["fig10"] = replace(_BUILTINS["fig9b"], name="fig10")
 
-
-def _builtin_table() -> dict:
-    const = lambda p: NoiseSchedule(kind="constant", p0=p)
-    table = {
-        "fig9a": ScenarioConfig(
-            name="fig9a",
-            kind="single",
-            sim=SimParams(noise_schedule=const(0.0), max_steps=100_000, seed=11),
-        ),
-        "fig9b": ScenarioConfig(
-            name="fig9b",
-            kind="single",
-            sim=SimParams(noise_schedule=const(0.05), max_steps=66_536, seed=11),
-            analysis=AnalysisOptions(burn_in=1000),
-        ),
-        "fig9c": ScenarioConfig(
-            name="fig9c",
-            kind="single",
-            sim=SimParams(
-                noise_schedule=const(0.05), max_steps=100_000, seed=11, **_SPIKE_REGIME
-            ),
-        ),
-        "fig11": ScenarioConfig(
-            name="fig11",
-            kind="sweep",
-            sim=SimParams(noise_schedule=const(0.0), max_steps=60_000, seed=11, **_SPIKE_REGIME),
-            sweep_values=_SWEEP_VALUES,
-            seeds_per_value=5,
-        ),
-        "fig12": ScenarioConfig(
-            name="fig12",
-            kind="ramp",
-            sim=SimParams(noise_schedule=const(0.0), max_steps=40_000, seed=11, **_SPIKE_REGIME),
-            ramp=NoiseSchedule(kind="ramp", p0=0.0, rate=2.5e-6, onset_step=10_000),
-        ),
-        "fig5-lattice": ScenarioConfig(
-            name="fig5-lattice", kind="lattice", relation_source="blocks:4,4"
-        ),
-        "fig4-lattice": ScenarioConfig(
-            name="fig4-lattice", kind="lattice", relation_source="blocks:3,3,2:overlap=3"
-        ),
-    }
-    table["fig10"] = replace(table["fig9b"], name="fig10")
-    return table
-
-
-BUILTIN_NAMES = tuple(sorted(_builtin_table()))
+BUILTIN_NAMES = tuple(sorted(_BUILTINS))
 
 
 def builtin_config(name: str) -> ScenarioConfig:
-    table = _builtin_table()
-    if name not in table:
+    if name not in _BUILTINS:
         raise ConfigError(
             f"unknown builtin scenario {name!r}; known: {', '.join(BUILTIN_NAMES)}"
         )
-    return table[name]
+    return _BUILTINS[name]
 
 
 def _splitmix64(x: int) -> int:
@@ -376,8 +382,8 @@ def _series_csv(series: analysis.RunSeries) -> str:
     so no string is built per row and the transient lists stay one chunk
     long.  A chunk whose noise bits are all equal has the noise repr
     written into its template and interleaves three columns."""
-    # A constant schedule read from JSON may hold an integer p0, whose
-    # trace is an integer array; the file still writes it as a float.
+    # A schedule built in Python may hold an integer p0, whose trace is
+    # an integer array; the file still writes it as a float.
     noise = series.noise_trace.astype(np.float64, copy=False)
     # Bits, not values: 0.0 == -0.0, but their reprs differ.
     bits = noise.view(np.int64)
@@ -399,20 +405,20 @@ def _json_text(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
-def _detect(config: ScenarioConfig, params: SimParams, series: analysis.RunSeries) -> list:
+def _detect(config: ScenarioConfig, series: analysis.RunSeries) -> list:
     """The run's wave events under the scenario's analysis options."""
     opts = config.analysis
     min_amp = opts.min_amplitude
     if min_amp is None:
-        min_amp = 0.8 * params.n_molecules
+        min_amp = 0.8 * config.sim.n_molecules
     return analysis.detect_events(series, opts.rise_window, opts.fall_window, min_amp)
 
 
-def _run_artifacts(config: ScenarioConfig, params: SimParams, kind: str) -> tuple:
+def _run_artifacts(config: ScenarioConfig, params: SimParams) -> tuple:
     """Simulate and analyze one run; returns (series.csv text, summary)."""
     series, _ = run_simulation(params, config.record_every)
     opts = config.analysis
-    events = _detect(config, params, series)
+    events = _detect(config, series)
     trace = series.active_count if opts.psd_trace == "active" else series.cluster_count
     trace = np.asarray(trace, dtype=np.float64)[opts.burn_in :]
     spectrum = analysis.psd(trace) if len(trace) >= analysis.PSD_MIN_SAMPLES else None
@@ -420,7 +426,7 @@ def _run_artifacts(config: ScenarioConfig, params: SimParams, kind: str) -> tupl
     summary["lock_in"] = detect_lock_in(series)
     summary["n_recorded"] = len(series.t)
     summary["name"] = config.name
-    summary["kind"] = kind
+    summary["kind"] = "ramp" if params.noise_schedule.kind == "ramp" else "single"
     summary["record_every"] = config.record_every
     return _series_csv(series), summary
 
@@ -455,13 +461,6 @@ def _write_artifacts(config: ScenarioConfig, out_dir: str, files: dict) -> dict:
     return manifest
 
 
-def _effective_params(config: ScenarioConfig) -> SimParams:
-    params = config.sim
-    if config.kind == "ramp":
-        params = replace(params, noise_schedule=config.ramp)
-    return params
-
-
 def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict:
     """Execute one scenario and write its artifacts; returns the manifest."""
     if config.kind == "sweep":
@@ -469,7 +468,7 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict:
     out_dir = out_dir or config.output_dir or os.path.join("runs", config.name)
     if config.kind == "lattice":
         return _run_lattice(config, out_dir)
-    csv_text, summary = _run_artifacts(config, _effective_params(config), config.kind)
+    csv_text, summary = _run_artifacts(config, config.sim)
     files = {"series.csv": csv_text, "summary.json": _json_text(summary)}
     return _write_artifacts(config, out_dir, files)
 
@@ -561,7 +560,7 @@ def run_sweep(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict:
                 noise_schedule=NoiseSchedule(kind="constant", p0=p_noise),
                 seed=seed,
             )
-            csv_text, summary = _run_artifacts(config, params, "single")
+            csv_text, summary = _run_artifacts(config, params)
             rel_dir = os.path.join(f"value_{vi}", f"seed_{rep}")
             files[os.path.join(rel_dir, "series.csv")] = csv_text
             files[os.path.join(rel_dir, "summary.json")] = _json_text(summary)
@@ -677,8 +676,8 @@ def _check_fig11(config: ScenarioConfig, out_dir: str) -> list:
 
 
 def _check_fig12(config: ScenarioConfig, out_dir: str) -> list:
-    params = _effective_params(config)
-    events = _detect(config, params, load_series(out_dir))
+    params = config.sim
+    events = _detect(config, load_series(out_dir))
     saw = [e.t_peak for e in events if e.kind == "sawtooth"]
     spike = [e.t_peak for e in events if e.kind.startswith("spike")]
     tail = [e.kind for e in events if e.t_peak >= 0.75 * params.max_steps]
@@ -799,8 +798,8 @@ _COMMAND_KINDS = {
 def _resolve_config(command: str, ref: str) -> ScenarioConfig:
     """The scenario a subcommand names: a builtin or a JSON config file,
     and for the lattice command also a relation file or generator spec."""
-    if ref in _builtin_table():
-        config = builtin_config(ref)
+    if ref in _BUILTINS:
+        config = _BUILTINS[ref]
     elif os.path.exists(ref) and (command != "lattice" or ref.endswith(".json")):
         config = parse_config(ref)
     elif command == "lattice":

@@ -5,7 +5,6 @@ them in the terminal summary) and then asserts, so a red criterion is
 both visible and failing.  Tolerances are pinned here, not imported.
 """
 
-import dataclasses
 import hashlib
 import json
 import time
@@ -201,10 +200,10 @@ def test_criterion_4_noise_sweep_regimes(tmp_path):
 def test_criterion_5_ramp_transition():
     def body(failures, details):
         config = builtin_config("fig12")
-        params = dataclasses.replace(config.sim, noise_schedule=config.ramp)
+        params = config.sim
         series, _ = run_simulation(params)
         events = analysis.detect_events(series, 25, 25, SPIKE_AMPLITUDE)
-        onset = config.ramp.onset_step
+        onset = config.sim.noise_schedule.onset_step
         steps = params.max_steps
 
         early = [e for e in events if e.t_peak < onset]

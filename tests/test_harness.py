@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
@@ -80,8 +81,6 @@ def test_kind_specific_field_rules():
         config_from_dict({"kind": "single", "sweep_values": [0.1]})
     with pytest.raises(ConfigError, match="ramp"):
         config_from_dict({"kind": "ramp"})
-    with pytest.raises(ConfigError, match="kind 'ramp'"):
-        config_from_dict({"kind": "ramp", "ramp": {"kind": "constant", "p0": 0.1}})
     with pytest.raises(ConfigError, match="relation_source"):
         config_from_dict({"kind": "lattice"})
     with pytest.raises(ConfigError, match="not valid for lattice"):
@@ -90,6 +89,39 @@ def test_kind_specific_field_rules():
         )
     with pytest.raises(ConfigError, match="relation_source is not valid"):
         config_from_dict({"kind": "single", "relation_source": "diag:3"})
+
+
+def test_the_kind_fixes_the_noise_schedule():
+    ramp = {"kind": "ramp", "rate": 1e-6}
+    with pytest.raises(ConfigError, match=r"^ramp scenarios need a ramp sim\.noise_schedule"):
+        config_from_dict({"kind": "ramp", "sim": {"noise_schedule": {"p0": 0.1}}})
+    for kind, extra in (("single", {}), ("sweep", {"sweep_values": [0.1]})):
+        with pytest.raises(ConfigError, match=rf"^{kind} scenarios need a constant sim\."):
+            config_from_dict({"kind": kind, "sim": {"noise_schedule": ramp}, **extra})
+    with pytest.raises(ConfigError, match="^unknown key: ramp$"):
+        config_from_dict({"kind": "ramp", "ramp": ramp})
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"kind": "single", "seeds_per_value": 3}, "^seeds_per_value is not valid for kind 'single'"),
+    ({"kind": "lattice", "relation_source": "diag:2", "record_every": 5},
+     "^record_every is not valid for lattice scenarios"),
+], ids=["seeds_per_value-outside-sweeps", "record_every-on-lattice"])
+def test_kinds_reject_inputs_they_ignore(obj, message):
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(obj)
+
+
+def test_integer_float_fields_write_the_same_artifacts(tmp_path):
+    for name, p0, theta_dec in (("ints", 0, 1), ("floats", 0.0, 1.0)):
+        config = config_from_dict({"kind": "single", "sim": {
+            "max_steps": 300, "theta_dec": theta_dec, "noise_schedule": {"p0": p0}}})
+        assert type(config.sim.theta_dec) is type(config.sim.noise_schedule.p0) is float
+        run_scenario(config, str(tmp_path / name))
+    for rel in ("series.csv", "summary.json"):
+        assert (tmp_path / "ints" / rel).read_bytes() == (tmp_path / "floats" / rel).read_bytes()
+    with pytest.raises(ConfigError, match=r"^sim\.theta_c is too large for a float"):
+        config_from_dict({"kind": "single", "sim": {"theta_c": 10**400}})
 
 
 _RAMP_JSON = {"kind": "ramp", "p0": 0.01, "rate": 2e-5, "onset_step": 300}
@@ -129,15 +161,17 @@ def test_every_config_field_parses_to_the_dataclass_value():
     )
     cases = [
         (
-            {"name": "r", "kind": "ramp", "sim": _SIM_JSON, "ramp": _RAMP_JSON,
+            {"name": "r", "kind": "ramp", "sim": _SIM_JSON,
              "output_dir": "out/r", "record_every": 3, "analysis": _ANALYSIS_JSON},
-            ScenarioConfig(name="r", kind="ramp", sim=sim, ramp=ramp,
+            ScenarioConfig(name="r", kind="ramp", sim=sim,
                            output_dir="out/r", record_every=3, analysis=opts),
         ),
         (
-            {"name": "s", "kind": "sweep", "sim": _SIM_JSON,
+            {"name": "s", "kind": "sweep",
+             "sim": {**_SIM_JSON, "noise_schedule": {"p0": 0.01}},
              "sweep_values": [0, 0.5], "seeds_per_value": 4},
-            ScenarioConfig(name="s", kind="sweep", sim=sim,
+            ScenarioConfig(name="s", kind="sweep",
+                           sim=dataclasses.replace(sim, noise_schedule=NoiseSchedule(p0=0.01)),
                            sweep_values=(0.0, 0.5), seeds_per_value=4),
         ),
         (
@@ -152,16 +186,16 @@ def test_every_config_field_parses_to_the_dataclass_value():
     assert covered == {f.name for f in dataclasses.fields(ScenarioConfig)}
     assert set(_SIM_JSON) == {f.name for f in dataclasses.fields(SimParams)}
     assert set(_ANALYSIS_JSON) == {f.name for f in dataclasses.fields(AnalysisOptions)}
-    for p in (sim, SimParams()):
-        assert config_from_dict({"kind": "single", "sim": p.to_dict()}).sim == p
+    for kind, p in (("ramp", sim), ("single", SimParams())):
+        assert config_from_dict({"kind": kind, "sim": p.to_dict()}).sim == p
 
 
 @pytest.mark.parametrize(
     "obj, path",
     [
         ({"kind": "sweep", "sweep_values": [0.1, "x"]}, r"sweep_values\[1\]"),
-        ({"kind": "ramp", "ramp": {**_RAMP_JSON, "onset_step": 3.0}},
-         r"ramp\.onset_step"),
+        ({"kind": "ramp", "sim": {"noise_schedule": {**_RAMP_JSON, "onset_step": 3.0}}},
+         r"sim\.noise_schedule\.onset_step"),
         ([{"kind": "single"}], "config root"),
         ({"kind": "single", "sim": [1]}, r"^sim must be"),
         ({"name": "x"}, "config requires a kind"),
@@ -169,8 +203,8 @@ def test_every_config_field_parses_to_the_dataclass_value():
         ({"kind": "single", "sim": {"seed": True}}, r"^sim\.seed must be int, got bool"),
         ({"kind": "single", "sim": {"theta_c": False}},
          r"^sim\.theta_c must be a number, got bool"),
-        ({"kind": "ramp", "ramp": {**_RAMP_JSON, "rate": float("nan")}},
-         r"^ramp\.rate must be a finite number"),
+        ({"kind": "ramp", "sim": {"noise_schedule": {**_RAMP_JSON, "rate": float("nan")}}},
+         r"^sim\.noise_schedule\.rate must be a finite number"),
         ({"kind": "single", "analysis": {"min_amplitude": float("nan")}},
          r"^analysis\.min_amplitude must be a finite number"),
         ({"kind": "single", "sim": {"theta_c": float("inf")}},
@@ -205,6 +239,23 @@ def test_readme_config_example_names_every_field():
     }
 
 
+def _readme_blocks(section, lang):
+    """The fenced ``lang`` blocks of one README section."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read().split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return [block.split("```", 1)[0] for block in text.split(f"```{lang}\n")[1:]]
+
+
+def test_readme_config_blocks_parse_and_library_blocks_run():
+    configs = [config_from_dict(json.loads(b)) for b in _readme_blocks("Config files", "json")]
+    assert {c.kind for c in configs} == {"single", "ramp", "sweep", "lattice"}
+    blocks = _readme_blocks("Library use", "python")
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_parse_config_file(tmp_path):
     path = tmp_path / "myrun.json"
     path.write_text(json.dumps({"kind": "single", "sim": {"seed": 5}}))
@@ -231,11 +282,16 @@ def test_builtin_table():
     assert fig11.sweep_values == (0.0, 1e-6, 5e-4, 5e-3, 7.5e-3, 5e-2)
     assert fig11.seeds_per_value == 5
     fig12 = builtin_config("fig12")
-    assert fig12.kind == "ramp" and fig12.ramp.kind == "ramp"
-    assert fig12.ramp.onset_step == 10_000
+    assert fig12.kind == "ramp" and fig12.sim.noise_schedule.kind == "ramp"
+    assert fig12.sim.noise_schedule.onset_step == 10_000
     assert builtin_config("fig4-lattice").relation_source == "blocks:3,3,2:overlap=3"
     with pytest.raises(ConfigError, match="unknown builtin"):
         builtin_config("fig99")
+
+
+def test_builtins_are_built_once():
+    for name in BUILTIN_NAMES:
+        assert builtin_config(name) is builtin_config(name)
 
 
 def test_sub_run_seeds_are_stable_and_distinct():
@@ -306,7 +362,7 @@ def first_difference(got, want):
 @pytest.mark.parametrize("extra", [-1, 0, 1, harness.CSV_CHUNK_ROWS + 1])
 def test_series_csv_matches_row_by_row_across_chunk_bounds(extra):
     rows = harness.CSV_CHUNK_ROWS + extra
-    ramp = builtin_config("fig12").ramp
+    ramp = builtin_config("fig12").sim.noise_schedule
     # A thinned axis through the fig12 ramp's onset, so the noise reprs
     # run from 0.0 to values like 8.750000000000001e-05.
     t = np.arange(rows, dtype=np.int64) * 15 + 9_000
@@ -324,7 +380,7 @@ def test_series_csv_matches_row_by_row_across_chunk_bounds(extra):
     assert first_difference(text, reference_series_csv(series)) is None
     assert text.count("\n") == rows + 1
     assert "0.30000000000000004" in text and "8.750000000000001e-05" in text
-    # An integer p0 from a JSON config gives an integer noise trace.
+    # An integer p0 in a schedule built in Python gives an integer noise trace.
     series.noise_trace = np.zeros(rows, dtype=np.int64)
     assert first_difference(harness._series_csv(series), reference_series_csv(series)) is None
 
@@ -367,7 +423,7 @@ def test_series_csv_folds_only_a_bitwise_constant_noise_chunk(noise, reprs):
 
 def test_series_csv_of_a_thinned_ramp_run_matches_row_by_row():
     config = builtin_config("fig12")
-    ramp = dataclasses.replace(config.ramp, onset_step=1_000)
+    ramp = dataclasses.replace(config.sim.noise_schedule, onset_step=1_000)
     steps = 3 * (2 * harness.CSV_CHUNK_ROWS + 1)
     params = dataclasses.replace(config.sim, noise_schedule=ramp, max_steps=steps)
     series, _ = run_simulation(params, record_every=3)
@@ -791,6 +847,25 @@ def test_cli_verify_names_each_changed_or_missing_file(tmp_path, capsys):
 def test_cli_run_accepts_lattice_scenarios(tmp_path):
     assert main(["run", "fig5-lattice", "--out", str(tmp_path)]) == 0
     assert json.loads((tmp_path / "summary.json").read_text())["n_elements"] == 30
+
+
+def test_cli_record_every_on_a_lattice_scenario_is_a_config_error(tmp_path, capsys):
+    assert main(["run", "fig5-lattice", "--record-every", "5", "--out", str(tmp_path)]) == 2
+    assert "record_every is not valid for lattice" in capsys.readouterr().err
+
+
+def test_run_all_figures_passes_seed_only_to_simulator_scenarios(tmp_path, monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "run_all_figures.py")
+    spec = importlib.util.spec_from_file_location("run_all_figures", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+    monkeypatch.setattr(harness, "main", lambda argv: calls.append(argv) or 0)
+    monkeypatch.setattr(sys, "argv", ["run_all_figures.py", "--seed", "3", "--out", str(tmp_path)])
+    assert script.main() == 0
+    assert sorted(argv[1] for argv in calls) == sorted(BUILTIN_NAMES)
+    for argv in calls:
+        assert ("--seed" in argv) == (builtin_config(argv[1]).sim is not None), argv
 
 
 
