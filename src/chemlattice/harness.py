@@ -109,7 +109,8 @@ class ScenarioConfig:
     "single" takes sim (default SimParams()) with a constant
     sim.noise_schedule, and record_every; "ramp" the same with a ramp
     schedule; "sweep" those of "single" plus sweep_values and
-    seeds_per_value, each value replacing the schedule's p0; "lattice"
+    seeds_per_value, each value replacing the schedule's p0 (which must
+    stay 0.0); "lattice"
     takes relation_source.  A field its kind does not take must keep its
     default."""
 
@@ -150,6 +151,11 @@ class ScenarioConfig:
         if self.kind == "sweep":
             if not self.sweep_values:
                 raise ConfigError("sweep scenarios require non-empty sweep_values")
+            if self.sim.noise_schedule.p0 != 0.0:
+                raise ConfigError(
+                    "sweep scenarios take their noise levels from sweep_values; "
+                    f"sim.noise_schedule.p0 must stay 0.0, got {self.sim.noise_schedule.p0}"
+                )
             vals = tuple(float(v) for v in self.sweep_values)
             for v in vals:
                 if not 0.0 <= v <= 1.0:

@@ -565,7 +565,7 @@ def _extend(assign, comp, fits, nodes) -> bool:
     return False
 
 
-def _search_orthocomplement(lat: Lattice, enforce_oml: bool):
+def _backtrack_orthocomplement(lat: Lattice, enforce_oml: bool):
     """Backtracking search for an involutive order-reversing complement
     assignment; optionally prunes branches violating the orthomodular
     law as pairs are fixed."""
@@ -586,6 +586,57 @@ def _search_orthocomplement(lat: Lattice, enforce_oml: bool):
         )
 
     return assign if _extend(assign, comp, fits, itertools.count()) else None
+
+
+def _first_descent(comp):
+    """The backtracking's first descent without its checks: each
+    unassigned element, ascending, paired with its first unassigned
+    complement candidate, on rows of ``comp`` held as Python ints.  None
+    when some element has no candidate left."""
+    n = comp.shape[0]
+    packed = np.packbits(comp, axis=1, bitorder="little")
+    rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    assign = [-1] * n
+    assign[0] = n - 1
+    assign[n - 1] = 0
+    free = ((1 << n) - 1) & ~1 & ~(1 << (n - 1))
+    while free:
+        low = free & -free
+        free ^= low
+        cand = rows[low.bit_length() - 1] & free
+        if not cand:
+            return None
+        pick = cand & -cand
+        free ^= pick
+        x, c = low.bit_length() - 1, pick.bit_length() - 1
+        assign[x] = c
+        assign[c] = x
+    return np.array(assign, dtype=np.int64)
+
+
+def _search_orthocomplement(lat: Lattice, enforce_oml: bool):
+    """The assignment `_backtrack_orthocomplement` returns, found by
+    checking its likeliest answer first.
+
+    The first descent (see _first_descent) is checked whole: x <= y must
+    give y' <= x'.  A descent that passes is exactly what the
+    backtracking returns, since each of its pairs passes every check the
+    backtracking makes when it fixes that pair.  That includes the
+    orthomodular law, which such a descent always satisfies: a lattice
+    with an orthocomplement breaks the law iff some x < y has x' ∧ y = 0,
+    and then x and y are both complements of both y' < x'.  Of the four,
+    the descent reaches x or y' first, while the other three are free,
+    and prefers the lower of its two candidates (y' for x, x for y') to
+    the upper one, so it never ends with both x' for x and y' for y.
+    Only a failing descent runs the backtracking, from scratch.
+    """
+    mt, jt = lat._tables
+    sub = lat._subset_matrix
+    n = len(lat)
+    assign = _first_descent((mt == 0) & (jt == n - 1))
+    if assign is not None and (sub <= sub[assign][:, assign].T).all():
+        return assign
+    return _backtrack_orthocomplement(lat, enforce_oml)
 
 
 def check_orthomodular(lat: Lattice) -> OrthomodularityReport:
@@ -618,62 +669,114 @@ def check_orthomodular(lat: Lattice) -> OrthomodularityReport:
             return OrthomodularityReport(False, witness, cmap, "")
 
 
-def _cubes(mt, jt, atoms: Sequence[int], current: tuple, cube):
-    """Yield (atom indices, cube) for every extension of ``current`` by
-    atoms from ``atoms`` whose joins form a Boolean cube, depth first,
-    each set before its own extensions.
+def _grow(mt, jt, cube, a: int):
+    """``cube`` grown by atom ``a``, or None when that breaks it.
 
-    ``cube`` lists the joins of all subsets of ``current`` and is
+    ``cube`` lists the joins of all subsets of some atoms and is
     Boolean, so growing it by one atom checks only the new half.  Joins
     need no check: in any lattice the join of two subset joins is the
     join of their union.  Meets must be the joins of the intersections;
     the distinctness test is implied by that but rejects sooner.
     """
+    grown = np.concatenate([cube, jt[cube, a]])
+    if len(set(grown.tolist())) != grown.size:
+        return None
+    s = np.arange(grown.size)
+    new = s[cube.size:, None]
+    return grown if (mt[grown[new], grown] == grown[new & s]).all() else None
+
+
+def _cubes(mt, jt, atoms: Sequence[int], current: tuple, cube):
+    """Yield (atom indices, cube) for every extension of ``current`` by
+    atoms from ``atoms`` whose joins form a Boolean cube (see _grow),
+    depth first, each set before its own extensions."""
     for i, a in enumerate(atoms):
-        grown = np.concatenate([cube, jt[cube, a]])
-        if len(set(grown.tolist())) != grown.size:
-            continue
-        s = np.arange(grown.size)
-        new = s[cube.size:, None]
-        if (mt[grown[new], grown] == grown[new & s]).all():
+        grown = _grow(mt, jt, cube, a)
+        if grown is not None:
             trial = current + (a,)
             yield trial, grown
             yield from _cubes(mt, jt, atoms[i + 1:], trial, grown)
 
 
+def _maximal_cliques(adj: list, r: int, p: int, x: int):
+    """Yield the maximal cliques through clique ``r`` of the graph whose
+    vertex v has neighbour bitmask ``adj[v]``, as bitmasks: Bron and
+    Kerbosch (1973) with a pivot, ``p`` the candidates and ``x`` the
+    vertices already covered."""
+    if not p | x:
+        yield r
+        return
+    rest = p | x
+    pivot = max(
+        (v for v in range(len(adj)) if rest >> v & 1),
+        key=lambda v: (p & adj[v]).bit_count(),
+    )
+    todo = p & ~adj[pivot]
+    while todo:
+        low = todo & -todo
+        v = low.bit_length() - 1
+        yield from _maximal_cliques(adj, r | low, p & adj[v], x & adj[v])
+        p ^= low
+        x |= low
+        todo ^= low
+
+
 def _boolean_blocks_raw(lat: Lattice) -> list:
     """Atom sets spanning Boolean sublattices, as (atom indices, cube).
 
-    Every subset of the atoms (the upper covers of bottom) whose joins
-    form a Boolean cube is enumerated, growing each from its parent one
-    atom smaller (see _cubes).  When the lattice has an orthocomplement
-    assignment, only cubes agreeing with it survive (each atom's in-cube
-    complement, the join of the others, must be its orthocomplement);
-    that distinguishes genuine blocks from accidental cubes such as a
-    cross pair of atoms from two different blocks, whose meet is bottom
-    and join top all the same.  The inclusion-maximal surviving sets are
-    returned.  Without any complement assignment the inclusion-maximal
-    cubes stand as found.
+    The atoms are the upper covers of bottom.  When the lattice has an
+    orthocomplement assignment, a block must agree with it: each atom's
+    in-cube complement, the join of the others, must be its
+    orthocomplement.  That distinguishes genuine blocks from accidental
+    cubes such as a cross pair of atoms from two different blocks, whose
+    meet is bottom and join top all the same.  An agreeing atom set S is
+    a maximal set of pairwise orthogonal atoms (b <= a'): for a != b in
+    S, b lies below the join of S without a, which is a'; and an atom
+    orthogonal to all of S would lie below the meet of those joins,
+    which is bottom.  So only the maximal orthogonal sets, found by
+    Bron–Kerbosch and taken in ascending order, have their cubes built
+    and checked, and the agreeing ones form an antichain as they stand.
+
+    Without any complement assignment every atom set whose joins form a
+    Boolean cube is enumerated, growing each from its parent one atom
+    smaller (see _cubes), and the inclusion-maximal cubes stand as
+    found.
     """
     assign = lat._orthocomplement[0]
-    atoms = [hi for lo, hi in lat._cover_pairs if lo == 0]
+    # the cover pairs ascend in their lower element, so bottom's come first
+    atoms = [hi for _, hi in itertools.takewhile(lambda p: p[0] == 0, lat._cover_pairs)]
     if len(atoms) > BLOCK_MAX_ATOMS:
         raise CapacityError(
             f"Boolean block search is capped at {BLOCK_MAX_ATOMS} atoms "
             f"(got {len(atoms)})"
         )
-    cubes = _cubes(*lat._tables, atoms, (), np.zeros(1, dtype=np.int64))
-    surviving = [
-        (atom_idx, cube)
-        for atom_idx, cube in cubes
-        if assign is None
-        or all(
-            cube[(cube.size - 1) ^ (1 << bit)] == assign[a]
-            for bit, a in enumerate(atom_idx)
-        )
-    ]
-    sets = [frozenset(a) for a, _ in surviving]
-    return [b for b, s in zip(surviving, sets) if not any(s < t for t in sets)]
+    mt, jt = lat._tables
+    if assign is None:
+        found = list(_cubes(mt, jt, atoms, (), np.zeros(1, dtype=np.int64)))
+        sets = [frozenset(a) for a, _ in found]
+        return [b for b, s in zip(found, sets) if not any(s < t for t in sets)]
+    # orth[i][j]: atom j lies below atom i's orthocomplement
+    orth = lat._subset_matrix[np.ix_(atoms, assign[atoms])].T.tolist()
+    adj = [sum(1 << j for j, o in enumerate(row) if o) for row in orth]
+    orthogonal_sets = sorted(
+        tuple(a for j, a in enumerate(atoms) if clique >> j & 1)
+        for clique in _maximal_cliques(adj, 0, (1 << len(atoms)) - 1, 0)
+        if clique  # the one-element lattice's only clique is empty
+    )
+    blocks = []
+    for atom_idx in orthogonal_sets:
+        cube = np.zeros(1, dtype=np.int64)
+        for a in atom_idx:
+            cube = _grow(mt, jt, cube, a)
+            if cube is None:
+                break
+        else:
+            if all(
+                cube[(cube.size - 1) ^ (1 << bit)] == assign[a]
+                for bit, a in enumerate(atom_idx)
+            ):
+                blocks.append((atom_idx, cube))
+    return blocks
 
 
 def boolean_blocks(lat: Lattice) -> list:

@@ -102,6 +102,15 @@ def test_the_kind_fixes_the_noise_schedule():
         config_from_dict({"kind": "ramp", "ramp": ramp})
 
 
+def test_a_sweep_rejects_a_p0_its_values_would_replace():
+    obj = {"kind": "sweep", "sweep_values": [0.1], "sim": {"noise_schedule": {"p0": 0.05}}}
+    message = r"^sweep scenarios .* sim\.noise_schedule\.p0 must stay 0\.0, got 0\.05$"
+    with pytest.raises(ConfigError, match=message):
+        config_from_dict(obj)
+    obj["sim"]["noise_schedule"]["p0"] = 0.0
+    assert config_from_dict(obj).sweep_values == (0.1,)
+
+
 @pytest.mark.parametrize("obj, message", [
     ({"kind": "single", "seeds_per_value": 3}, "^seeds_per_value is not valid for kind 'single'"),
     ({"kind": "lattice", "relation_source": "diag:2", "record_every": 5},
@@ -168,10 +177,10 @@ def test_every_config_field_parses_to_the_dataclass_value():
         ),
         (
             {"name": "s", "kind": "sweep",
-             "sim": {**_SIM_JSON, "noise_schedule": {"p0": 0.01}},
+             "sim": {**_SIM_JSON, "noise_schedule": {"p0": 0.0}},
              "sweep_values": [0, 0.5], "seeds_per_value": 4},
             ScenarioConfig(name="s", kind="sweep",
-                           sim=dataclasses.replace(sim, noise_schedule=NoiseSchedule(p0=0.01)),
+                           sim=dataclasses.replace(sim, noise_schedule=NoiseSchedule(p0=0.0)),
                            sweep_values=(0.0, 0.5), seeds_per_value=4),
         ),
         (

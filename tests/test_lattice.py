@@ -672,6 +672,15 @@ def reference_blocks(lat) -> set:
 
 
 DIAG3 = enumerate_lattice(build_two_block_relation([3], fill_off_blocks=False))
+# orthocomplemented but not orthomodular
+O6 = Lattice.from_subsets(3, [(), (0,), (0, 1), (2,), (1, 2), (0, 1, 2)])
+# the first descent pairs an element with no candidate left, and the
+# backtracking finds an orthomodular assignment all the same
+DESCENT_FAILS_OML = Lattice(
+    5, [0b0, 0b101, 0b110, 0b1100, 0b1110, 0b10011, 0b10100, 0b10110, 0b11100, 0b11111]
+)
+# the first descent is a complement assignment that is not order-reversing
+DESCENT_FAILS_PLAIN = Lattice(4, [0b0, 0b101, 0b110, 0b1101, 0b1110, 0b1111])
 # atoms A1, A2, A3 have 8 distinct joins, but {A1,A2,A4} ∧ {A2,A3,A4} is
 # {A2,A4}, not A2: only the meet check rejects the 3-atom cube
 MEET_ONLY = Lattice(4, [0b0000, 0b0001, 0b0010, 0b0100, 0b1010, 0b0101, 0b1011, 0b1110, 0b1111])
@@ -682,6 +691,8 @@ MEET_ONLY = Lattice(4, [0b0000, 0b0001, 0b0010, 0b0100, 0b1010, 0b0101, 0b1011, 
 @example(lat=N5)
 @example(lat=DIAG3)
 @example(lat=MEET_ONLY)
+@example(lat=O6)
+@example(lat=DESCENT_FAILS_OML)
 @settings(max_examples=300, deadline=None)
 def test_boolean_blocks_match_a_from_scratch_search(lat):
     blocks = boolean_blocks(lat)
@@ -695,6 +706,52 @@ def test_boolean_blocks_match_a_from_scratch_search(lat):
 N5_UNCLOSED = Lattice.from_subsets(4, [(), (0, 1), (0, 1, 2), (0, 3), (0, 1, 2, 3)])
 DIAG9 = enumerate_lattice(Relation(np.eye(9, dtype=bool)))
 BLOCKS88 = enumerate_lattice(build_two_block_relation([8, 8]))
+
+
+def test_blocks_of_the_large_builtins():
+    # the from-scratch reference is too slow at 9 and 16 atoms
+    singletons = [frozenset({i}) for i in range(16)]
+    assert boolean_blocks(DIAG9) == [(tuple(singletons[:9]), 512)]
+    assert boolean_blocks(BLOCKS88) == [
+        (tuple(singletons[:8]), 256),
+        (tuple(singletons[8:]), 256),
+    ]
+
+
+@given(lat=lattices())
+@example(lat=DESCENT_FAILS_OML)
+@example(lat=DESCENT_FAILS_PLAIN)
+@example(lat=O6)
+@example(lat=DIAG9)
+@example(lat=BLOCKS88)
+@settings(max_examples=300, deadline=None)
+def test_search_returns_the_backtracking_assignment(lat):
+    # the blocks depend on which assignment is found, not just on one existing
+    for enforce_oml in (True, False):
+        want = lattice_module._backtrack_orthocomplement(lat, enforce_oml)
+        got = lattice_module._search_orthocomplement(lat, enforce_oml)
+        assert (got is None) == (want is None)
+        assert want is None or np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "lat, enforce_oml",
+    [(DESCENT_FAILS_OML, True), (DESCENT_FAILS_PLAIN, False)],
+    ids=["oml", "plain"],
+)
+def test_a_failed_descent_falls_back_to_the_backtracking(monkeypatch, lat, enforce_oml):
+    calls = []
+    backtrack = lattice_module._backtrack_orthocomplement
+
+    def counted(searched, flag):
+        calls.append(flag)
+        return backtrack(searched, flag)
+
+    monkeypatch.setattr(lattice_module, "_backtrack_orthocomplement", counted)
+    assert lattice_module._search_orthocomplement(lat, enforce_oml) is not None
+    assert calls == [enforce_oml]
+    assert lattice_module._search_orthocomplement(DIAG9, enforce_oml) is not None
+    assert calls == [enforce_oml]  # a passing descent needs no backtracking
 
 
 @given(lat=lattices())
