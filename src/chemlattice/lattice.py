@@ -92,9 +92,13 @@ class Relation:
 
     def row_masks(self) -> list:
         """Per-row related-column sets as integer bitmasks."""
-        return [
-            sum(1 << int(j) for j in np.flatnonzero(row)) for row in self.cells
-        ]
+        return _int_rows(self.cells)
+
+
+def _int_rows(bits) -> list:
+    """Rows of a boolean matrix as Python ints, bit j for column j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def parse_relation(text: str) -> Relation:
@@ -202,18 +206,29 @@ def closure(rel: Relation, rows: Iterable[int]) -> frozenset:
     return lower_approx(rel, upper_approx(rel, rows))
 
 
-def _closure_mask(row_masks: Sequence[int], n_rows: int, x: int) -> int:
-    y = 0
-    m = x
-    while m:
-        i = (m & -m).bit_length() - 1
-        y |= row_masks[i]
-        m &= m - 1
-    out = 0
-    for r in range(n_rows):
-        if row_masks[r] & ~y == 0:
-            out |= 1 << r
-    return out
+def _byte_tables(masks: Sequence[int]) -> list:
+    """One table per byte of an index bitmask: entry v of table b is the
+    OR of masks[8b + i] over the bits i set in v."""
+    tables = []
+    for b in range(0, len(masks), 8):
+        table = [0]
+        for m in masks[b:b + 8]:
+            table += [v | m for v in table]
+        tables.append(table)
+    return tables
+
+
+def _closure_mask(up: list, keep: list, x: int) -> int:
+    """Closure of the row set x, a byte at a time: its columns are the OR
+    of its rows' column masks (``up``), and the closed rows those that
+    touch no column outside them in any byte (``keep``)."""
+    cols = 0
+    for table, v in zip(up, x.to_bytes(len(up), "little")):
+        cols |= table[v]
+    rows = -1
+    for table, v in zip(keep, cols.to_bytes(len(keep), "little")):
+        rows &= table[v]
+    return rows
 
 
 def enumerate_lattice(
@@ -224,7 +239,8 @@ def enumerate_lattice(
     Exact and exhaustive; relations wider than ``max_rows`` rows raise
     CapacityError (decompose the relation into blocks instead), and so
     does a lattice with more than ``max_elements`` elements, as soon as
-    its next element is found.
+    its next element is found.  Each closure reads one table per byte of
+    rows and one per byte of columns (see _closure_mask), built once.
     """
     n = rel.n_rows
     if n > max_rows:
@@ -232,10 +248,12 @@ def enumerate_lattice(
             f"exact lattice enumeration is capped at {max_rows} rows "
             f"(got {n}); decompose the relation into blocks"
         )
-    row_masks = rel.row_masks()
     full = (1 << n) - 1
+    up = _byte_tables(rel.row_masks())
+    # entry v: the rows touching no column of the byte outside v
+    keep = [[full ^ t for t in reversed(tab)] for tab in _byte_tables(_int_rows(rel.cells.T))]
     elems = []
-    a = _closure_mask(row_masks, n, 0)
+    a = _closure_mask(up, keep, 0)
     elems.append(a)
     while a != full:
         progressed = False
@@ -244,7 +262,7 @@ def enumerate_lattice(
             if a & bit:
                 a &= ~bit
             else:
-                b = _closure_mask(row_masks, n, a | bit)
+                b = _closure_mask(up, keep, a | bit)
                 if (b & ~a) & (bit - 1) == 0:
                     a = b
                     elems.append(a)
@@ -352,16 +370,17 @@ class Lattice:
         upper covers c of j.  Element indices extend inclusion, so that
         least is the smallest index: every i ∨ c lies above i ∨ j, and
         an upper cover of j below i ∨ j gives i ∨ j itself.  Meets run the
-        dual, bottom up over lower covers.  For n elements with c covers
-        each that costs O(n² · c) after the cover scan, which therefore
-        runs first.
+        dual, bottom up over lower covers.  Rows are filled a level at a
+        time (see _fill_by_level), after the cover scan.
 
-        In any family the recursion's i ∨ j is a common upper bound, and
-        the family is a lattice iff it lies inside every other one; that
-        is checked row by row on bit-packed up-sets, for j >= i, which
-        costs O(n³ / 64) word operations.  Only joins need the
-        check: a finite poset with a bottom and all binary joins has all
-        binary meets (the join of the common lower bounds).
+        In any family the recursion's f(j) = join_tab[j, i] is a common
+        upper bound of i and j, and f(u) = u for each common upper bound
+        u.  If f preserves order, f(j) <= f(u) = u, so f(j) is the join;
+        in a lattice, joins do preserve order.  So the family is a lattice
+        iff f(lo) <= f(hi) along every cover pair (lo, hi), for every i.
+        Only joins need the check: a finite poset with a bottom and all
+        binary joins has all binary meets (the join of the common lower
+        bounds).
         """
         n = len(self._masks)
         if n > LAW_MAX_ELEMENTS:
@@ -370,26 +389,16 @@ class Lattice:
                 f"elements (got {n}); decompose the relation into blocks"
             )
         sub = self._subset_matrix
-        cover = np.zeros((n, n), dtype=bool)  # cover[lo, hi]: hi covers lo
-        cover[tuple(np.array(self._cover_pairs, dtype=np.intp).reshape(-1, 2).T)] = True
-        join_tab = np.empty((n, n), dtype=np.int32)
-        join_tab[n - 1] = n - 1
-        for j in range(n - 2, -1, -1):
-            row = np.minimum.reduce(join_tab[cover[j]])
-            row[sub[:, j]] = j
-            join_tab[j] = row
-        meet_tab = np.empty((n, n), dtype=np.int32)
-        meet_tab[0] = 0
-        for j in range(1, n):
-            row = np.maximum.reduce(meet_tab[cover[:, j]])
-            row[sub[j]] = j
-            meet_tab[j] = row
-        wide = np.zeros((n, 64 * -(-n // 64)), dtype=bool)  # whole 64-bit words
-        wide[:, :n] = sub
-        packed = np.packbits(wide, axis=1).view(np.uint64)
-        for i in range(n):  # a pair without a least bound fails either way round
-            if (packed[i] & packed[i:] & ~packed[join_tab[i, i:]]).any():
-                raise ValueError(_NOT_A_LATTICE)
+        lo, hi = np.array(self._cover_pairs, dtype=np.intp).reshape(-1, 2).T
+        join_tab = _fill_by_level(lo, hi, n - 1, np.minimum, sub.T)
+        step = max(1, (1 << 16) // n)  # temporaries of at most 512 KiB
+        chunks = (slice(s, s + step) for s in range(0, lo.size, step))
+        if not all(
+            sub.ravel()[np.multiply(join_tab[lo[c]], n, dtype=np.intp) + join_tab[hi[c]]].all()
+            for c in chunks
+        ):
+            raise ValueError(_NOT_A_LATTICE)
+        meet_tab = _fill_by_level(hi, lo, 0, np.maximum, sub)
         return meet_tab, join_tab
 
     @cached_property
@@ -409,6 +418,33 @@ class Lattice:
         """Covering pairs (lower, upper) of element indices in ascending
         order, scanned once."""
         return _scan_cover(self)
+
+
+def _fill_by_level(lo, hi, seed: int, reduce, fixed):
+    """Index table whose row ``seed`` is constant and whose row x reduces
+    the rows of the hi paired with x, then holds x where ``fixed[x]`` is
+    set: in batches of every row whose hi are done, one slot of hi at a
+    time, in place (``seed``, the reduction's identity, pads the slots)."""
+    n = len(fixed)
+    order = np.argsort(lo, kind="stable")
+    lo, hi = lo[order], hi[order]
+    counts = np.bincount(lo, minlength=n)
+    slots = np.full((n, max(int(counts.max()), 1)), seed, dtype=np.intp)
+    slots[lo, np.arange(lo.size) - (np.cumsum(counts) - counts)[lo]] = hi
+    tab = np.empty((n, n), dtype=np.int32)
+    tab[seed] = seed
+    done = np.arange(n) == seed
+    while not done.all():
+        batch = np.flatnonzero(~done & done[slots].all(axis=1))
+        batch = batch[np.argsort(-counts[batch], kind="stable")]
+        buf = tab[slots[batch, 0]]
+        for s in range(1, counts[batch[0]]):
+            m = np.count_nonzero(counts[batch] > s)  # rows with slot s filled
+            reduce(buf[:m], tab[slots[batch[:m], s]], out=buf[:m])
+        np.copyto(buf, batch[:, None], where=fixed[batch])
+        tab[batch] = buf
+        done[batch] = True
+    return tab
 
 
 def meet_join(lat: Lattice, x: Iterable[int], y: Iterable[int]) -> tuple:
@@ -450,8 +486,7 @@ def _scan_cover(lat: Lattice) -> list:
         )
     strict = lat._subset_matrix.copy()
     np.fill_diagonal(strict, False)
-    packed = np.packbits(strict, axis=1, bitorder="little")
-    ups = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    ups = _int_rows(strict)
     pairs = []
     for x, up in enumerate(ups):
         above = 0
@@ -493,25 +528,33 @@ def check_distributive(lat: Lattice) -> DistributivityReport:
     The verdict is Birkhoff's (Davey & Priestley, Introduction to
     Lattices and Order, 2nd ed., ch. 5): a finite lattice is distributive
     iff every join-irreducible j (one lower cover) is join-prime, that
-    is j <= x ∨ y only if j <= x or j <= y.  Only on failure does the
-    triple scan run, for the first failing triple (x, y, z) in element
-    order as the witness.
+    is j <= x ∨ y only if j <= x or j <= y: iff the join of all elements
+    not above j, reduced pairwise through the join table for every j at
+    once, is not above j.  Only on failure does the triple scan run, for
+    the first failing triple (x, y, z) in element order as the witness.
+    It skips each x whose y ↦ x ∧ y preserves the joins y ∨ z with
+    join-irreducible z: every z is a join of join-irreducibles, so that
+    map then preserves all joins and row x has no failing triple.
     """
     mt, jt = lat._tables
+    sub, n = lat._subset_matrix, len(lat)
     covers = Counter(hi for _, hi in lat._cover_pairs)
-    ups = lat._subset_matrix[[j for j, c in covers.items() if c == 1]]
-    if not any((up[jt] & ~(up[:, None] | up[None, :])).any() for up in ups):
+    irr = np.array([j for j, c in covers.items() if c == 1], dtype=np.intp)
+    joins = np.zeros((irr.size, 1 << (n - 1).bit_length()), dtype=np.int32)
+    joins[:, :n] = np.where(sub[irr], 0, np.arange(n))  # bottom pads
+    while joins.shape[1] > 1:
+        joins = jt[joins[:, ::2], joins[:, 1::2]]
+    if not sub[irr, joins[:, 0]].any():
         return DistributivityReport(True, None)
     # Some j <= x ∨ y lies below neither x nor y, so j ∧ x and j ∧ y lie
     # below j's one lower cover and (j, x, y) fails: the scan always returns.
-    for x in range(len(lat)):
-        lhs = mt[x][jt]
-        rhs = jt[mt[x][:, None], mt[x][None, :]]
-        diff = lhs != rhs
-        if diff.any():
-            y, z = map(int, np.argwhere(diff)[0])
-            witness = (lat._elements[x], lat._elements[y], lat._elements[z])
-            return DistributivityReport(False, witness)
+    to_irr = jt[:, irr]
+    for x in range(n):
+        mx = mt[x]
+        if (mx[to_irr] == jt[mx[:, None], mx[irr]]).all():
+            continue
+        y, z = divmod(int((mx[jt] != jt[mx][:, mx]).argmax()), n)
+        return DistributivityReport(False, tuple(lat._elements[i] for i in (x, y, z)))
 
 
 @dataclass(frozen=True)
@@ -594,8 +637,7 @@ def _first_descent(comp):
     complement candidate, on rows of ``comp`` held as Python ints.  None
     when some element has no candidate left."""
     n = comp.shape[0]
-    packed = np.packbits(comp, axis=1, bitorder="little")
-    rows = [int.from_bytes(row.tobytes(), "little") for row in packed]
+    rows = _int_rows(comp)
     assign = [-1] * n
     assign[0] = n - 1
     assign[n - 1] = 0

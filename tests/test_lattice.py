@@ -7,6 +7,7 @@ share no code beyond the Relation container.
 
 import gc
 import itertools
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -795,3 +796,152 @@ FIG5_LATTICE = enumerate_lattice(build_two_block_relation([4, 4]))
 @settings(max_examples=300, deadline=None)
 def test_cover_scan_matches_the_block_reference(lat):
     assert lattice_module._scan_cover(lat) == reference_scan_cover(lat)
+
+
+# ------------------------------------------- byte tables, cover check
+
+
+def next_closure_reference(rel, max_elements) -> list:
+    """Ganter's next-closure over `closure`, on frozensets: the closed
+    row sets in lectic order (row 0 most significant), stopping after
+    max_elements + 1 of them."""
+    n = rel.n_rows
+    a = closure(rel, ())
+    found = [a]
+    while len(a) < n and len(found) <= max_elements:
+        for i in reversed(range(n)):
+            if i in a:
+                continue
+            low = frozenset(j for j in a if j < i)
+            b = closure(rel, low | {i})
+            if all(j >= i for j in b - low):
+                a = b
+                found.append(a)
+                break
+    return found
+
+
+@st.composite
+def wide_relations(draw):
+    """Relations of 9-20 rows and 9-70 columns, so that rows and columns
+    both span more than one byte; every row and column is touched."""
+    n, m = draw(st.integers(9, 20)), draw(st.integers(9, 70))
+    density = draw(st.sampled_from([0.05, 0.2, 0.35, 0.5, 0.7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cells = rng.random((n, m)) < density
+    cells[np.arange(n), rng.integers(0, m, n)] = True
+    cells[rng.integers(0, n, m), np.arange(m)] = True
+    return Relation(cells)
+
+
+def _mask(subset) -> int:
+    return sum(1 << i for i in subset)
+
+
+BLOCKS5555 = build_two_block_relation([5, 5, 5, 5])  # 20 rows, 122 elements
+
+
+@given(rel=wide_relations(), max_elements=st.integers(1, 1000))
+@example(rel=BLOCKS5555, max_elements=1000)
+@example(rel=BLOCKS5555, max_elements=121)
+@example(rel=Relation(np.arange(70) % 20 == np.arange(20)[:, None]), max_elements=40)  # 2^20
+@settings(max_examples=150, deadline=None)
+def test_enumeration_matches_next_closure_across_byte_boundaries(rel, max_elements):
+    want = next_closure_reference(rel, max_elements)
+    if len(want) <= max_elements:
+        lat = enumerate_lattice(rel, max_elements=max_elements)
+        assert lat.elements == sorted(want, key=_mask)
+        return
+    closures = []
+    closure_mask = lattice_module._closure_mask
+
+    def recorded(*args):
+        closures.append(closure_mask(*args))
+        return closures[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_module, "_closure_mask", recorded)
+        with pytest.raises(CapacityError, match=f"capped at {max_elements} elements"):
+            enumerate_lattice(rel, max_elements=max_elements)
+    assert closures[-1] == _mask(want[-1])  # the element past the cap
+
+
+@st.composite
+def union_families(draw):
+    """Set families over 6-8 points, with bottom, top and up to 25 masks,
+    and often all their pairwise unions as well."""
+    universe = draw(st.integers(6, 8))
+    full = (1 << universe) - 1
+    masks = [0, full] + draw(st.lists(st.integers(0, full), max_size=25))
+    if draw(st.booleans()):
+        masks += [a | b for a in masks for b in masks]
+    return universe, masks
+
+
+# {A1} and {A2} have two minimal upper bounds, {A1,A2,A3} and
+# {A1,A2,A4}, five covers below top along the chain above them
+DEEP_MISSING_JOIN = (8, [0, 0b1, 0b10, 0b111, 0b1011, 0b1111, 0b11111, 0b111111, 0b1111111, 0xFF])
+# above the 32 subsets of {A1..A5}, {A1..A6} and {A1..A5,A7} have two
+# minimal upper bounds: the failing cover pairs come last
+LATE_MISSING_JOIN = (9, list(range(32)) + [0x3F, 0x5F, 0xFF, 0x17F, 0x1FF])
+
+
+@given(family=union_families())
+@example(family=DEEP_MISSING_JOIN)
+@example(family=LATE_MISSING_JOIN)
+@settings(max_examples=300, deadline=None)
+def test_cover_check_rejects_what_the_argmax_reference_rejects(family):
+    assert_tables_match_argmax(Lattice(*family))
+
+
+@pytest.mark.parametrize("family", [DEEP_MISSING_JOIN, LATE_MISSING_JOIN], ids=["deep", "late"])
+def test_a_missing_join_is_rejected(family):
+    with pytest.raises(ValueError, match="not a lattice"):
+        argmax_tables(Lattice(*family))
+    with pytest.raises(ValueError, match="not a lattice"):
+        Lattice(*family)._tables
+
+
+def first_failing_triple(lat):
+    """Reference witness: the first (x, y, z) in row-major element order
+    with x ∧ (y ∨ z) != (x ∧ y) ∨ (x ∧ z), or None."""
+    mt, jt = lat._tables
+    for x in range(len(lat)):
+        fails = np.argwhere(mt[x][jt] != jt[mt[x][:, None], mt[x][None, :]])
+        if fails.size:
+            return tuple(lat.elements[i] for i in (x, *fails[0]))
+    return None
+
+
+# x ∧ (y ∨ z) is {A1,A2,A4} but (x ∧ y) ∨ (x ∧ z) is {A1,A2} for x =
+# {A1,A2,A4}, y = {A1}, z = {A2,A3,A4}, while every x ∧ - preserves the
+# join of any two join-irreducibles: a row filter must let y range wider
+IRREDUCIBLE_PAIRS_PASS = Lattice(4, [0, 1, 2, 3, 4, 11, 13, 14, 15])
+
+
+@given(lat=lattices())
+@example(lat=M3)
+@example(lat=N5)
+@example(lat=BLOCKS88)
+@example(lat=DIAG9)
+@example(lat=IRREDUCIBLE_PAIRS_PASS)
+@settings(max_examples=300, deadline=None)
+def test_distributivity_witness_is_the_first_failing_triple(lat):
+    assert check_distributive(lat).witness == first_failing_triple(lat)
+
+
+def traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("lat", [DIAG9, BLOCKS88], ids=["diag9", "blocks88"])
+def test_tables_and_distributivity_stay_within_their_memory(lat):
+    fresh = Lattice(lat.universe, lat._masks)
+    fresh._cover_pairs  # the cover scan is the Hasse stage, measured apart
+    assert traced_peak_mib(lambda: fresh._tables) <= 3.0
+    assert traced_peak_mib(lambda: check_distributive(fresh)) <= 4.5
