@@ -440,7 +440,8 @@ def _run_artifacts(config: ScenarioConfig, params: SimParams) -> tuple:
 def _write_artifacts(config: ScenarioConfig, out_dir: str, files: dict) -> dict:
     """Write the files, then manifest.json with their digests; returns
     the manifest.  A failed rewrite leaves no old manifest behind, and
-    any old check.json goes with it."""
+    any old check.json goes with it.  Old files are removed, not
+    truncated: truncating unflushed data can wait for the flush."""
     os.makedirs(out_dir, exist_ok=True)
     for stale in ("manifest.json", "check.json"):
         with contextlib.suppress(FileNotFoundError):
@@ -449,6 +450,8 @@ def _write_artifacts(config: ScenarioConfig, out_dir: str, files: dict) -> dict:
     for rel_path, text in sorted(files.items()):
         full = os.path.join(out_dir, rel_path)
         os.makedirs(os.path.dirname(full) or out_dir, exist_ok=True)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(full)
         payload = text.encode("utf-8")
         with open(full, "wb") as fh:
             fh.write(payload)

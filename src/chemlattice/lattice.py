@@ -90,15 +90,20 @@ class Relation:
     def n_cols(self) -> int:
         return self.cells.shape[1]
 
-    def row_masks(self) -> list:
-        """Per-row related-column sets as integer bitmasks."""
-        return _int_rows(self.cells)
-
 
 def _int_rows(bits) -> list:
     """Rows of a boolean matrix as Python ints, bit j for column j."""
     packed = np.packbits(bits, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _bits(mask: int) -> list:
+    """Indices of the set bits of a mask, ascending."""
+    out = []
+    while mask:
+        out.append((mask & -mask).bit_length() - 1)
+        mask &= mask - 1
+    return out
 
 
 def parse_relation(text: str) -> Relation:
@@ -241,6 +246,10 @@ def enumerate_lattice(
     does a lattice with more than ``max_elements`` elements, as soon as
     its next element is found.  Each closure reads one table per byte of
     rows and one per byte of columns (see _closure_mask), built once.
+    Closure fixed points hold the full set and are closed under
+    intersection, so they form a complete lattice (Ganter & Wille, Formal
+    Concept Analysis, 1999, ch. 0); the result is marked so that its
+    tables skip the lattice check.
     """
     n = rel.n_rows
     if n > max_rows:
@@ -249,7 +258,7 @@ def enumerate_lattice(
             f"(got {n}); decompose the relation into blocks"
         )
     full = (1 << n) - 1
-    up = _byte_tables(rel.row_masks())
+    up = _byte_tables(_int_rows(rel.cells))
     # entry v: the rows touching no column of the byte outside v
     keep = [[full ^ t for t in reversed(tab)] for tab in _byte_tables(_int_rows(rel.cells.T))]
     elems = []
@@ -275,7 +284,9 @@ def enumerate_lattice(
                     break
         if not progressed:
             break
-    return Lattice(n, elems)
+    lat = Lattice(n, elems)
+    lat._closure_system = True
+    return lat
 
 
 class Lattice:
@@ -288,6 +299,8 @@ class Lattice:
     bound: the family is then not a lattice.  `meet_join` resolves one
     pair against the element set instead, without the tables.
     """
+
+    _closure_system = False  # set by enumerate_lattice: a lattice by theorem
 
     def __init__(self, universe: int, masks: Iterable[int]):
         self.universe = int(universe)
@@ -308,22 +321,15 @@ class Lattice:
             raise ValueError("the full ground set must be an element (top)")
         self._masks = uniq
         self._index = {m: i for i, m in enumerate(uniq)}
-        self._elements = [self._to_set(m) for m in uniq]
+        self._elements = [frozenset(_bits(m)) for m in uniq]
 
     @classmethod
     def from_subsets(cls, universe: int, subsets: Iterable[Iterable[int]]) -> "Lattice":
-        masks = []
-        for s in subsets:
-            fs = _as_indices(s, universe, "ground-set")
-            masks.append(sum(1 << i for i in fs))
+        masks = [sum(1 << i for i in _as_indices(s, universe, "ground-set")) for s in subsets]
         return cls(universe, masks)
 
-    def _to_set(self, mask: int) -> frozenset:
-        return frozenset(i for i in range(self.universe) if mask >> i & 1)
-
     def _to_mask(self, subset: Iterable[int]) -> int:
-        fs = _as_indices(subset, self.universe, "ground-set")
-        return sum(1 << i for i in fs)
+        return sum(1 << i for i in _as_indices(subset, self.universe, "ground-set"))
 
     def __len__(self) -> int:
         return len(self._masks)
@@ -380,7 +386,11 @@ class Lattice:
         iff f(lo) <= f(hi) along every cover pair (lo, hi), for every i.
         Only joins need the check: a finite poset with a bottom and all
         binary joins has all binary meets (the join of the common lower
-        bounds).
+        bounds).  It is skipped for the fixed points of a closure operator
+        (see enumerate_lattice): that family is closed under intersection
+        and holds the full set, so the intersection of the common upper
+        bounds of i and j is an element and their join, and the check
+        cannot fail.  Every other family is checked.
         """
         n = len(self._masks)
         if n > LAW_MAX_ELEMENTS:
@@ -393,7 +403,7 @@ class Lattice:
         join_tab = _fill_by_level(lo, hi, n - 1, np.minimum, sub.T)
         step = max(1, (1 << 16) // n)  # temporaries of at most 512 KiB
         chunks = (slice(s, s + step) for s in range(0, lo.size, step))
-        if not all(
+        if not self._closure_system and not all(
             sub.ravel()[np.multiply(join_tab[lo[c]], n, dtype=np.intp) + join_tab[hi[c]]].all()
             for c in chunks
         ):
@@ -454,10 +464,7 @@ def meet_join(lat: Lattice, x: Iterable[int], y: Iterable[int]) -> tuple:
     the enumerated element set, without table construction, so it works
     at any lattice size.
     """
-    xi = lat.index_of(x)
-    yi = lat.index_of(y)
-    xm = lat._masks[xi]
-    ym = lat._masks[yi]
+    xm, ym = lat._masks[lat.index_of(x)], lat._masks[lat.index_of(y)]
     inter = xm & ym
     or_all = 0
     for m in lat._masks:
@@ -472,31 +479,34 @@ def meet_join(lat: Lattice, x: Iterable[int], y: Iterable[int]) -> tuple:
             and_all &= m
     if and_all not in lat._index:
         raise ValueError("join resolves outside the element set")
-    return lat._to_set(or_all), lat._to_set(and_all)
+    return frozenset(_bits(or_all)), frozenset(_bits(and_all))
 
 
 def _scan_cover(lat: Lattice) -> list:
-    """Covering pairs (x, y), ascending in x and then in y, read off
-    strict up-sets held as one Python int per element: y covers x iff y
-    lies above x and above no other element above x."""
+    """Covering pairs (x, y), ascending in x and then in y, by a greedy
+    scan over up-sets held as one Python int per element.
+
+    For each x, ``left`` starts as the strict up-set of x; its least index
+    y is emitted as a cover and takes its whole up-set out of ``left``.
+    Indices extend inclusion, which is all this needs, so it holds for any
+    family, lattice or not.  A z with x < z < y has a smaller index than
+    y, so it left ``left`` with the up-set of an emitted y' <= z, which
+    holds y too: y covers x.  A cover c never leaves, since that needs an
+    emitted y' with x < y' < c.  So each x costs one step per cover.
+    """
     n = len(lat)
     if n > HASSE_MAX_ELEMENTS:
         raise CapacityError(
             f"Hasse extraction is capped at {HASSE_MAX_ELEMENTS} elements (got {n})"
         )
-    strict = lat._subset_matrix.copy()
-    np.fill_diagonal(strict, False)
-    ups = _int_rows(strict)
+    ups = _int_rows(lat._subset_matrix)
     pairs = []
-    for x, up in enumerate(ups):
-        above = 0
-        for z in np.flatnonzero(strict[x]).tolist():
-            above |= ups[z]
-        covers = up & ~above
-        while covers:
-            low = covers & -covers
-            pairs.append((x, low.bit_length() - 1))
-            covers ^= low
+    for x, left in enumerate(ups):
+        left ^= 1 << x
+        while left:
+            y = (left & -left).bit_length() - 1
+            pairs.append((x, y))
+            left &= ~ups[y]
     return pairs
 
 
@@ -748,19 +758,12 @@ def _maximal_cliques(adj: list, r: int, p: int, x: int):
     if not p | x:
         yield r
         return
-    rest = p | x
-    pivot = max(
-        (v for v in range(len(adj)) if rest >> v & 1),
-        key=lambda v: (p & adj[v]).bit_count(),
-    )
-    todo = p & ~adj[pivot]
-    while todo:
-        low = todo & -todo
-        v = low.bit_length() - 1
+    pivot = max(_bits(p | x), key=lambda v: (p & adj[v]).bit_count())
+    for v in _bits(p & ~adj[pivot]):
+        low = 1 << v
         yield from _maximal_cliques(adj, r | low, p & adj[v], x & adj[v])
         p ^= low
         x |= low
-        todo ^= low
 
 
 def _boolean_blocks_raw(lat: Lattice) -> list:
@@ -797,11 +800,10 @@ def _boolean_blocks_raw(lat: Lattice) -> list:
         found = list(_cubes(mt, jt, atoms, (), np.zeros(1, dtype=np.int64)))
         sets = [frozenset(a) for a, _ in found]
         return [b for b, s in zip(found, sets) if not any(s < t for t in sets)]
-    # orth[i][j]: atom j lies below atom i's orthocomplement
-    orth = lat._subset_matrix[np.ix_(atoms, assign[atoms])].T.tolist()
-    adj = [sum(1 << j for j, o in enumerate(row) if o) for row in orth]
+    # bit j of adj[i]: atom j lies below atom i's orthocomplement
+    adj = _int_rows(lat._subset_matrix[np.ix_(atoms, assign[atoms])].T)
     orthogonal_sets = sorted(
-        tuple(a for j, a in enumerate(atoms) if clique >> j & 1)
+        tuple(atoms[j] for j in _bits(clique))
         for clique in _maximal_cliques(adj, 0, (1 << len(atoms)) - 1, 0)
         if clique  # the one-element lattice's only clique is empty
     )
@@ -881,14 +883,12 @@ def format_subset(subset: Iterable[int]) -> str:
 
 def lattice_to_dot(lat: Lattice) -> str:
     """Graphviz digraph of the Hasse diagram, bottom ranked lowest."""
-    lines = [
-        "digraph hasse {",
-        "  rankdir=BT;",
-        '  node [shape=box, fontname="Helvetica"];',
-    ]
+    lines = ["digraph hasse {", "  rankdir=BT;", '  node [shape=box, fontname="Helvetica"];']
+    names = [f"A{i + 1}" for i in range(lat.universe)]
+    for i, m in enumerate(lat._masks):
+        label = ",".join([names[b] for b in _bits(m)])
+        lines.append(f'  n{i} [label="{{{label}}}"];')
     index = {e: i for i, e in enumerate(lat._elements)}
-    for e, i in index.items():
-        lines.append(f'  n{i} [label="{format_subset(e)}"];')
     for lo, hi in hasse_cover(lat):
         lines.append(f"  n{index[lo]} -> n{index[hi]};")
     lines.append("}")
@@ -902,10 +902,7 @@ def law_report_json(report: LawReport) -> dict:
     if report.distributive_witness is not None:
         witness = [format_subset(e) for e in report.distributive_witness]
     blocks = [
-        {
-            "atoms": [format_subset(a) for a in atoms],
-            "elements": count,
-        }
+        {"atoms": [format_subset(a) for a in atoms], "elements": count}
         for atoms, count in report.boolean_blocks
     ]
     return {

@@ -540,6 +540,21 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_a_rerun_replaces_each_artifact_rather_than_rewriting_it(tmp_path):
+    # A file truncated in place can stall on its unflushed data; a fresh
+    # file cannot.  A hard link to the old file shows which one happened.
+    out = tmp_path / "run"
+    run_scenario(tiny_single(), str(out))
+    old = (out / "series.csv").read_bytes()
+    os.link(out / "series.csv", tmp_path / "old.csv")
+    manifest = run_scenario(tiny_single(seed=4), str(out))
+    assert (tmp_path / "old.csv").read_bytes() == old
+    new = (out / "series.csv").read_bytes()
+    assert new != old
+    assert hashlib.sha256(new).hexdigest() == manifest["files"]["series.csv"]["sha256"]
+    harness.verify_run(str(out))  # raises on a digest mismatch
+
+
 def test_lattice_scenario_artifacts(tmp_path):
     config = config_from_dict(
         {"name": "diag", "kind": "lattice", "relation_source": "diag:3"}
