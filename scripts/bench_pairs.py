@@ -5,9 +5,15 @@
         --pairs 10 --seconds 28 --seed-base 1000
 
 Pair i runs ``bench/run.py --workload W --seed K+i --seconds S --trace 0``
-once in each checkout, each with its own ``bench/run.py`` and from its
-own root; the parent goes first in even pairs and the change in odd
-ones.  The last line a run prints is its JSON result.  For every
+once for each checkout, each with its own ``bench/run.py``; the parent
+goes first in even pairs and the change in odd ones.  Every run starts
+from a fresh copy of its checkout in a new temporary directory, so that
+a reading does not depend on where the checkout lives or what earlier
+runs left in it: in a git checkout the copy holds the files that
+``git ls-files`` lists (tracked ones, and untracked ones that are not
+ignored); elsewhere it holds the whole tree without its ``.git``,
+``.hypothesis``, ``runs``, ``.bench_out`` and ``__pycache__``
+directories.  The last line a run prints is its JSON result.  For every
 end-to-end metric that the parent's BENCHMARK.json declares, the script
 prints each side's median and quartiles, the pairs the change won
 (ties count for neither side), and whether the median moved the better
@@ -30,25 +36,52 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 UNSCALED = re.compile(r"wall medians before scaling: run (\S+) s, setup \S+ s; "
                       r"speed scale (\S+) ")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float, trace: bool = False):
-    """The metric values of one benchmark run in ``root``, with its unscaled
-    ``run_s`` and speed scale when the run printed them, or an error text."""
-    cmd = [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
+LEFT_OUT = (".git", ".hypothesis", "runs", ".bench_out", "__pycache__")
+
+
+def clean_copy(root: Path, dest: Path) -> None:
+    """Copy the checkout at ``root`` to the new directory ``dest``: the
+    files ``git ls-files`` lists in a git checkout, else the whole tree
+    without the directories in LEFT_OUT."""
     try:
-        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                              timeout=4 * seconds + 300)
-    except subprocess.TimeoutExpired:
-        return None, "timed out"
+        listed = subprocess.run(
+            ["git", "-C", str(root), "ls-files", "-z", "--cached", "--others",
+             "--exclude-standard"], capture_output=True, text=True, check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        shutil.copytree(root, dest, ignore=shutil.ignore_patterns(*LEFT_OUT))
+        return
+    for name in filter(None, listed.split("\0")):
+        src = root / name
+        if src.is_file():  # a tracked file deleted from the work tree is left out
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: float, trace: bool = False):
+    """The metric values of one benchmark run in a fresh copy of ``root``,
+    with its unscaled ``run_s`` and speed scale when the run printed them,
+    or an error text."""
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        copy = Path(tmp) / "checkout"
+        clean_copy(root, copy)
+        cmd = [sys.executable, str(copy / "bench" / "run.py"), "--workload", workload,
+               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace))]
+        try:
+            proc = subprocess.run(cmd, cwd=copy, capture_output=True, text=True,
+                                  timeout=4 * seconds + 300)
+        except subprocess.TimeoutExpired:
+            return None, "timed out"
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         return None, f"exit {proc.returncode}: {proc.stderr.strip()[-300:]}"

@@ -4,10 +4,12 @@ A binary relation between a row set and a column set induces an upper
 approximation (columns related to any chosen row), a lower approximation
 (rows whose whole related-column set lies inside a chosen column set),
 and their composite closure on row subsets.  The closure's fixed points,
-ordered by inclusion, form a complete lattice.  This module enumerates
-that lattice, resolves meets and joins against the enumerated element
-set, extracts the Hasse diagram, and checks distributivity, maximal
-Boolean sublattices, and orthomodularity.
+ordered by inclusion, form a complete lattice: they are the full row set
+and the intersections of the sets of rows not related to a column.  This
+module enumerates that lattice as those intersections, resolves meets
+and joins against the enumerated element set, extracts the Hasse
+diagram, and checks distributivity, maximal Boolean sublattices, and
+orthomodularity.
 
 Subsets are handled as frozensets of 0-based row indices externally and
 as integer bitmasks internally.  Exact enumeration is capped at 20 rows;
@@ -211,45 +213,30 @@ def closure(rel: Relation, rows: Iterable[int]) -> frozenset:
     return lower_approx(rel, upper_approx(rel, rows))
 
 
-def _byte_tables(masks: Sequence[int]) -> list:
-    """One table per byte of an index bitmask: entry v of table b is the
-    OR of masks[8b + i] over the bits i set in v."""
-    tables = []
-    for b in range(0, len(masks), 8):
-        table = [0]
-        for m in masks[b:b + 8]:
-            table += [v | m for v in table]
-        tables.append(table)
-    return tables
-
-
-def _closure_mask(up: list, keep: list, x: int) -> int:
-    """Closure of the row set x, a byte at a time: its columns are the OR
-    of its rows' column masks (``up``), and the closed rows those that
-    touch no column outside them in any byte (``keep``)."""
-    cols = 0
-    for table, v in zip(up, x.to_bytes(len(up), "little")):
-        cols |= table[v]
-    rows = -1
-    for table, v in zip(keep, cols.to_bytes(len(keep), "little")):
-        rows &= table[v]
-    return rows
-
-
 def enumerate_lattice(
     rel: Relation, max_rows: int = ENUM_MAX_ROWS, max_elements: Optional[int] = None
 ) -> "Lattice":
-    """All closure fixed points, via lectic-order next-closure search.
+    """All closure fixed points, as the intersection closure of the
+    column extents of the complementary relation.
+
+    Since upper(X) <= U exactly when X <= lower(U), the closure lower o
+    upper comes from a Galois connection, and its fixed points are the
+    lower approximations lower(U).  A row lies in lower(U) when it touches
+    no column outside U, so lower(U) is the intersection of
+    E_c = {rows not related to c} over the columns c outside U: the fixed
+    points are the full row set and all intersections of the E_c (Ganter
+    & Wille, Formal Concept Analysis, 1999, ch. 1).  Starting from the
+    full set, each distinct E_c in turn adds e & E_c for every mask e
+    held, one int AND per held mask.
 
     Exact and exhaustive; relations wider than ``max_rows`` rows raise
     CapacityError (decompose the relation into blocks instead), and so
-    does a lattice with more than ``max_elements`` elements, as soon as
-    its next element is found.  Each closure reads one table per byte of
-    rows and one per byte of columns (see _closure_mask), built once.
-    Closure fixed points hold the full set and are closed under
-    intersection, so they form a complete lattice (Ganter & Wille, Formal
-    Concept Analysis, 1999, ch. 0); the result is marked so that its
-    tables skip the lattice check.
+    does a lattice with more than ``max_elements`` elements, checked
+    after each E_c: a step at most doubles the held masks, so a capped
+    run never holds more than 2 * max_elements.  Closure fixed points
+    hold the full set and are closed under intersection, so they form a
+    complete lattice (ch. 0); the result is marked so that its tables
+    skip the lattice check.
     """
     n = rel.n_rows
     if n > max_rows:
@@ -257,34 +244,15 @@ def enumerate_lattice(
             f"exact lattice enumeration is capped at {max_rows} rows "
             f"(got {n}); decompose the relation into blocks"
         )
-    full = (1 << n) - 1
-    up = _byte_tables(_int_rows(rel.cells))
-    # entry v: the rows touching no column of the byte outside v
-    keep = [[full ^ t for t in reversed(tab)] for tab in _byte_tables(_int_rows(rel.cells.T))]
-    elems = []
-    a = _closure_mask(up, keep, 0)
-    elems.append(a)
-    while a != full:
-        progressed = False
-        for i in reversed(range(n)):
-            bit = 1 << i
-            if a & bit:
-                a &= ~bit
-            else:
-                b = _closure_mask(up, keep, a | bit)
-                if (b & ~a) & (bit - 1) == 0:
-                    a = b
-                    elems.append(a)
-                    if max_elements is not None and len(elems) > max_elements:
-                        raise CapacityError(
-                            f"lattice enumeration is capped at {max_elements} "
-                            "elements; decompose the relation into blocks"
-                        )
-                    progressed = True
-                    break
-        if not progressed:
-            break
-    lat = Lattice(n, elems)
+    held = {(1 << n) - 1}
+    for extent in dict.fromkeys(_int_rows(~rel.cells.T)):
+        held |= {e & extent for e in held}
+        if max_elements is not None and len(held) > max_elements:
+            raise CapacityError(
+                f"lattice enumeration is capped at {max_elements} "
+                "elements; decompose the relation into blocks"
+            )
+    lat = Lattice(n, held)
     lat._closure_system = True
     return lat
 

@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -832,18 +833,17 @@ def test_cli_lattice_from_relation_file(tmp_path):
     assert summary["n_elements"] == 8
 
 
-def test_cli_lattice_stops_enumerating_at_the_law_table_cap(tmp_path, capsys, monkeypatch):
-    closures = []
-    closure_mask = lattice_module._closure_mask
-
-    def counted(*args):
-        closures.append(1)
-        return closure_mask(*args)
-
-    monkeypatch.setattr(lattice_module, "_closure_mask", counted)
-    assert main(["lattice", "diag:14", "--out", str(tmp_path)]) == 3
+def test_cli_lattice_stops_enumerating_at_the_law_table_cap(tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        assert main(["lattice", "diag:14", "--out", str(tmp_path)]) == 3
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
     assert "capped at 512 elements" in capsys.readouterr().err
-    assert len(closures) <= 2 * 513  # not the 2^14 = 16384 of a full enumeration
+    # at most 1024 masks held, not the 2^14 = 16384 elements of a full
+    # enumeration, whose lattice alone takes about 13 MiB
+    assert peak_mib < 1.0
 
 
 def test_cli_verify_names_each_changed_or_missing_file(tmp_path, capsys):
