@@ -8,7 +8,10 @@ pins below are regenerated together with it.  The fig11 sweep pins
 grid.json on its own and its 60 per-cell files as one combined digest
 (sha256 of the sorted "path sha256" lines).  The two 512-element ad-hoc
 lattices, diag:9 (Boolean, distributive) and blocks:8,8 (two blocks, not
-distributive), pin the law checks at the table-size cap.
+distributive), pin the law checks at the table-size cap.  The 8-element
+blocks:2,2,2,2:overlap=2,3 lattice pins the orthocomplement search's
+fallback: its first descent fails, and the one Boolean block it reports
+depends on the assignment that the fallback finds.
 """
 
 import hashlib
@@ -30,6 +33,7 @@ ARGV = {
     "fig11": ["sweep", "fig11", "--steps", "1000"],
     "diag:9": ["lattice", "diag:9"],
     "blocks:8,8": ["lattice", "blocks:8,8"],
+    "blocks:2,2,2,2:overlap=2,3": ["lattice", "blocks:2,2,2,2:overlap=2,3"],
 }
 
 GOLDEN = {
@@ -76,6 +80,11 @@ GOLDEN = {
         "lattice.dot": "9b9e31795508dc101cf2571fc25d875240b051eb6c7c0e17f7d5265b74b4e0e5",
         "laws.json": "5d79d5367879950818c0eec21db908de335ff581491abedb90f152c1e5d28687",
         "summary.json": "a7e02328b4b99dec1715bee72ec42c5dbe11d6255f4bd458a2d8627f12fbc319",
+    },
+    "blocks:2,2,2,2:overlap=2,3": {
+        "lattice.dot": "900aca2eca8e675270412e398280355b8c2c05d7c6aae088dffae975f26684ea",
+        "laws.json": "0636c27bdc45a03534e71b6508060f1344047b783b903c8e1ad99539f7493cec",
+        "summary.json": "57a99a63a10465ed910cb2d3b1f41240679f52372e0227313b9f48fc7231e7a3",
     },
 }
 

@@ -17,6 +17,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from chemlattice import lattice as lattice_module
 from chemlattice.errors import CapacityError, ConfigError
+from chemlattice.harness import main, relation_from_source
 from chemlattice.lattice import (
     Lattice,
     analyze_laws,
@@ -723,20 +724,121 @@ def test_blocks_of_the_large_builtins():
     ]
 
 
+def _reverses_order(sub, assign, x: int, c: int) -> bool:
+    """Whether pairing x with c keeps the assigned pairs order-reversing:
+    u <= x implies c <= u' (and the same for x <= u, u <= c, c <= u)."""
+    u = np.flatnonzero(assign >= 0)
+    pu = assign[u]
+    return not (
+        (sub[u, x] & ~sub[c, pu]).any()
+        or (sub[x, u] & ~sub[pu, c]).any()
+        or (sub[u, c] & ~sub[x, pu]).any()
+        or (sub[c, u] & ~sub[pu, x]).any()
+    )
+
+
+def _extend(assign, comp, fits, nodes) -> bool:
+    """Complete a partial complement assignment in place, depth first:
+    pair the first unassigned element with each free candidate of its
+    ``comp`` row that ``fits`` accepts.  Each call draws one search node
+    from ``nodes``."""
+    next(nodes)
+    todo = np.flatnonzero(assign < 0)
+    if todo.size == 0:
+        return True
+    x = int(todo[0])
+    for c in np.flatnonzero(comp[x]).tolist():
+        if assign[c] >= 0 or c == x or not fits(x, c):
+            continue
+        assign[x] = c
+        assign[c] = x
+        if _extend(assign, comp, fits, nodes):
+            return True
+        assign[x] = assign[c] = -1
+    return False
+
+
+def reference_orthocomplement(lat, enforce_oml: bool) -> tuple:
+    """The numpy backtracking that the forward-checking search replaced,
+    without a node budget: (assignment or None, search nodes drawn)."""
+    mt, jt = lat._tables
+    sub = lat._subset_matrix
+    n = len(lat)
+    comp = (mt == 0) & (jt == n - 1)
+    assign = np.full(n, -1, dtype=np.int64)
+    assign[0] = n - 1
+    assign[n - 1] = 0
+
+    def fits(x: int, c: int) -> bool:
+        if not _reverses_order(sub, assign, x, c):
+            return False
+        return not enforce_oml or (
+            lattice_module._oml_break(mt, jt, sub, x, c) is None
+            and lattice_module._oml_break(mt, jt, sub, c, x) is None
+        )
+
+    nodes = itertools.count()
+    found = _extend(assign, comp, fits, nodes)
+    return (assign if found else None), next(nodes)
+
+
+def complement_rows(lat) -> list:
+    mt, jt = lat._tables
+    return lattice_module._int_rows((mt == 0) & (jt == len(lat) - 1))
+
+
+def search_alone(lat, enforce_oml: bool):
+    """The forward-checking search without the first-descent shortcut."""
+    return lattice_module._backtrack_orthocomplement(lat, enforce_oml, complement_rows(lat))
+
+
+def lattice_of(spec: str):
+    return enumerate_lattice(relation_from_source(spec), max_elements=lattice_module.LAW_MAX_ELEMENTS)
+
+
+# the first descent fails under both flags, and the plain search's
+# assignment decides which atom set is the one Boolean block
+BLOCKS222 = lattice_of("blocks:2,2,2:overlap=2,3")
+BLOCKS2222 = lattice_of("blocks:2,2,2,2:overlap=2,3")
+# a census-family relation (symmetric, reflexive) with a 24-element
+# lattice: its descent fails under both flags, and the plain reference
+# draws 42 nodes where forward checking draws 13
+CENSUS = enumerate_lattice(parse_relation("""
+100101000
+011110010
+011011111
+110111000
+011111110
+101111000
+001010101
+011010011
+001000111
+"""))
+
+
 @given(lat=lattices())
 @example(lat=DESCENT_FAILS_OML)
 @example(lat=DESCENT_FAILS_PLAIN)
 @example(lat=O6)
 @example(lat=DIAG9)
 @example(lat=BLOCKS88)
+@example(lat=BLOCKS222)
+@example(lat=BLOCKS2222)
+@example(lat=Lattice(0, [0]))
+@example(lat=Lattice(1, [0, 1]))
+@example(lat=CENSUS)
 @settings(max_examples=300, deadline=None)
 def test_search_returns_the_backtracking_assignment(lat):
     # the blocks depend on which assignment is found, not just on one existing
     for enforce_oml in (True, False):
-        want = lattice_module._backtrack_orthocomplement(lat, enforce_oml)
-        got = lattice_module._search_orthocomplement(lat, enforce_oml)
-        assert (got is None) == (want is None)
-        assert want is None or np.array_equal(got, want)
+        want, nodes = reference_orthocomplement(lat, enforce_oml)
+        # forward checking visits a subset of the reference's nodes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice_module, "_ORTHO_NODE_CAP", nodes)
+            found = search_alone(lat, enforce_oml)
+        for got in (found, lattice_module._search_orthocomplement(lat, enforce_oml)):
+            assert (got is None) == (want is None)
+            assert want is None or np.array_equal(got, want)
 
 
 @pytest.mark.parametrize(
@@ -748,15 +850,42 @@ def test_a_failed_descent_falls_back_to_the_backtracking(monkeypatch, lat, enfor
     calls = []
     backtrack = lattice_module._backtrack_orthocomplement
 
-    def counted(searched, flag):
+    def counted(searched, flag, comp):
         calls.append(flag)
-        return backtrack(searched, flag)
+        return backtrack(searched, flag, comp)
 
     monkeypatch.setattr(lattice_module, "_backtrack_orthocomplement", counted)
     assert lattice_module._search_orthocomplement(lat, enforce_oml) is not None
     assert calls == [enforce_oml]
     assert lattice_module._search_orthocomplement(DIAG9, enforce_oml) is not None
     assert calls == [enforce_oml]  # a passing descent needs no backtracking
+
+
+@pytest.mark.parametrize(
+    "lat, enforce_oml, nodes",
+    [(DESCENT_FAILS_PLAIN, False, 3), (BLOCKS2222, True, 1), (BLOCKS2222, False, 4)],
+    ids=["descent-fails-plain", "blocks2222-oml", "blocks2222-plain"],
+)
+def test_node_budget_is_exact(monkeypatch, lat, enforce_oml, nodes):
+    want = reference_orthocomplement(lat, enforce_oml)[0]
+    monkeypatch.setattr(lattice_module, "_ORTHO_NODE_CAP", nodes - 1)
+    with pytest.raises(CapacityError, match="node budget"):
+        lattice_module._search_orthocomplement(lat, enforce_oml)
+    monkeypatch.setattr(lattice_module, "_ORTHO_NODE_CAP", nodes)
+    got = lattice_module._search_orthocomplement(lat, enforce_oml)
+    assert (got is None) == (want is None)
+    assert want is None or np.array_equal(got, want)
+
+
+def test_cli_lattice_exits_3_when_the_search_runs_out_of_nodes(monkeypatch, tmp_path, capsys):
+    # the law-pruned search draws 1 node and finds nothing; the plain
+    # search then needs 4
+    monkeypatch.setattr(lattice_module, "_ORTHO_NODE_CAP", 3)
+    out = str(tmp_path / "run")
+    assert main(["lattice", "blocks:2,2,2,2:overlap=2,3", "--out", out]) == 3
+    assert "node budget" in capsys.readouterr().err
+    monkeypatch.setattr(lattice_module, "_ORTHO_NODE_CAP", 4)
+    assert main(["lattice", "blocks:2,2,2,2:overlap=2,3", "--out", out]) == 0
 
 
 @given(lat=lattices())
