@@ -6,73 +6,10 @@ activation/inactivation at full aggregation/monomerization.  Noise and a
 population-level coherence kick couple the two levels.  The lattice side
 enumerates closure fixed points of binary relations and checks
 quantum-logic laws.  The harness turns both into reproducible artifacts.
-"""
 
-from .errors import CapacityError, CheckFailure, ConfigError
-from .sim_core import (
-    NoiseSchedule,
-    SimParams,
-    SimState,
-    StepReport,
-    apply_boundary_rules,
-    apply_noise,
-    attempt_clustering,
-    attempt_declustering,
-    audit_consistency,
-    init_state,
-    noise_at,
-    step,
-)
-from .interplay import (
-    InterplayOutcome,
-    active_ratio,
-    coherence_kick,
-    modal_cluster,
-    run_interplay,
-    target_activity,
-)
-from .lattice import (
-    Lattice,
-    LawReport,
-    Relation,
-    analyze_laws,
-    boolean_blocks,
-    build_two_block_relation,
-    check_distributive,
-    check_orthomodular,
-    closure,
-    enumerate_lattice,
-    find_complements,
-    format_subset,
-    hasse_cover,
-    lattice_to_dot,
-    law_report_json,
-    lower_approx,
-    meet_join,
-    parse_relation,
-    relation_from_file,
-    upper_approx,
-)
-from .analysis import (
-    RunSeries,
-    Spectrum,
-    WaveEvent,
-    detect_events,
-    fit_loglog_slope,
-    psd,
-    radix2_dft,
-    summarize,
-)
-from .harness import (
-    AnalysisOptions,
-    BUILTIN_NAMES,
-    ScenarioConfig,
-    builtin_config,
-    detect_lock_in,
-    parse_config,
-    run_scenario,
-    run_simulation,
-    run_sweep,
-)
+Names are imported from their modules (``sim_core``, ``interplay``,
+``lattice``, ``analysis``, ``harness``, ``errors``); the package itself
+exports only ``__version__``.
+"""
 
 __version__ = "0.1.0"

@@ -213,9 +213,7 @@ def closure(rel: Relation, rows: Iterable[int]) -> frozenset:
     return lower_approx(rel, upper_approx(rel, rows))
 
 
-def enumerate_lattice(
-    rel: Relation, max_rows: int = ENUM_MAX_ROWS, max_elements: Optional[int] = None
-) -> "Lattice":
+def enumerate_lattice(rel: Relation, max_elements: Optional[int] = None) -> "Lattice":
     """All closure fixed points, as the intersection closure of the
     column extents of the complementary relation.
 
@@ -229,7 +227,7 @@ def enumerate_lattice(
     full set, each distinct E_c in turn adds e & E_c for every mask e
     held, one int AND per held mask.
 
-    Exact and exhaustive; relations wider than ``max_rows`` rows raise
+    Exact and exhaustive; relations wider than ``ENUM_MAX_ROWS`` rows raise
     CapacityError (decompose the relation into blocks instead), and so
     does a lattice with more than ``max_elements`` elements, checked
     after each E_c: a step at most doubles the held masks, so a capped
@@ -239,9 +237,9 @@ def enumerate_lattice(
     skip the lattice check.
     """
     n = rel.n_rows
-    if n > max_rows:
+    if n > ENUM_MAX_ROWS:
         raise CapacityError(
-            f"exact lattice enumeration is capped at {max_rows} rows "
+            f"exact lattice enumeration is capped at {ENUM_MAX_ROWS} rows "
             f"(got {n}); decompose the relation into blocks"
         )
     held = {(1 << n) - 1}
@@ -301,12 +299,6 @@ class Lattice:
 
     def __len__(self) -> int:
         return len(self._masks)
-
-    def __contains__(self, subset) -> bool:
-        try:
-            return self._to_mask(subset) in self._index
-        except ValueError:
-            return False
 
     @property
     def elements(self) -> list:

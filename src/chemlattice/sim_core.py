@@ -334,13 +334,11 @@ class SimState:
     ids by position, dense 0..c_max-1, and ``c0`` their sizes.  A merge
     deletes the absorbed position from both, which shifts every position
     above it down by one without relabelling a molecule; a split appends
-    its new cluster at the end.  ``c1``, ``cl``, ``m0`` and ``m1`` (active
-    counts, members, molecule positions and flags by position) are built
-    on each read.
+    its new cluster at the end.
 
     For sizes s in 0..N, ``hist[s]`` is the number of clusters of size s
-    and ``size_mask[s]`` the OR of their member masks; ``act[s]``, their
-    active molecules summed, is read from ``size_mask`` on demand.
+    and ``size_mask[s]`` the OR of their member masks, so their active
+    molecules are ``(flags & size_mask[s]).bit_count()``.
     ``max_size`` is the largest size, so the modal lookup scans ``hist``
     only up to it.  The constructor takes the members by position and the
     flag mask and derives the rest, which every mutator here keeps exact.
@@ -388,31 +386,6 @@ class SimState:
     def c_max(self) -> int:
         return len(self.order)
 
-    @property
-    def c1(self) -> list:
-        flags, mask_of = self.flags, self.mask_of
-        return [(flags & mask_of[k]).bit_count() for k in self.order]
-
-    @property
-    def act(self) -> list:
-        flags = self.flags
-        return [(flags & mask).bit_count() for mask in self.size_mask]
-
-    @property
-    def cl(self) -> list:
-        return [list(self.members_of[k]) for k in self.order]
-
-    @property
-    def m0(self) -> np.ndarray:
-        position = {k: p for p, k in enumerate(self.order)}
-        return np.array([position.get(k, -1) for k in self.cluster_of], dtype=np.int32)
-
-    @property
-    def m1(self) -> np.ndarray:
-        n = len(self.cluster_of)
-        packed = np.frombuffer(self.flags.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-        return np.unpackbits(packed, count=n, bitorder="little").astype(np.int8)
-
     def flip(self, mask: int) -> int:
         """Toggle the activity of the molecules in ``mask`` (bit i for
         molecule i), as ``Draws.row`` returns them; returns their number."""
@@ -432,7 +405,8 @@ class SimState:
         """Deep copy that replays identically to the original.  The draw
         source is copied at its logical position (`Draws.clone`), which
         touches no generator.  The copy keeps the ids, the first members."""
-        return SimState(self.cl, self.flags, self.rng.clone(), self.t)
+        return SimState([self.members_of[k] for k in self.order], self.flags, self.rng.clone(),
+                        self.t)
 
 
 class StepReport(NamedTuple):

@@ -250,17 +250,23 @@ def test_readme_config_example_names_every_field():
 
 
 def _readme_blocks(section, lang):
-    """The fenced ``lang`` blocks of one README section."""
+    """The fenced ``lang`` blocks of one README section, or of the whole
+    README when ``section`` is None."""
     readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(readme, encoding="utf-8") as fh:
-        text = fh.read().split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+        text = fh.read()
+    if section is not None:
+        text = text.split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
     return [block.split("```", 1)[0] for block in text.split(f"```{lang}\n")[1:]]
 
 
 def test_readme_config_blocks_parse_and_library_blocks_run():
     configs = [config_from_dict(json.loads(b)) for b in _readme_blocks("Config files", "json")]
     assert {c.kind for c in configs} == {"single", "ramp", "sweep", "lattice"}
-    blocks = _readme_blocks("Library use", "python")
+    # Every Python block of the README, not only those of "Library use".
+    # The package exports only __version__, so this also checks that each
+    # name a block uses imports from its module.
+    blocks = _readme_blocks(None, "python")
     assert len(blocks) == 2
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})

@@ -56,6 +56,11 @@ def make_state(clusters, seed=0):
     return SimState(members, flags, np.random.default_rng(seed))
 
 
+def member_lists(state):
+    """The member lists by position."""
+    return [state.members_of[k] for k in state.order]
+
+
 # ---------------------------------------------------------------- init
 
 
@@ -64,7 +69,7 @@ def test_init_200_inactive_singletons():
     assert state.c_max == 200
     assert state.n_active == 0
     assert state.c0 == [1] * 200
-    assert state.c1 == [0] * 200
+    assert member_lists(state) == [[i] for i in range(200)]
     assert audit_consistency(state) == []
 
 
@@ -77,7 +82,7 @@ def test_init_smallest_system():
 def test_init_same_seed_is_bit_identical():
     a = init_state(SimParams(seed=99))
     b = init_state(SimParams(seed=99))
-    assert np.array_equal(a.m0, b.m0) and np.array_equal(a.m1, b.m1)
+    assert (member_lists(a), a.flags) == (member_lists(b), b.flags)
     assert a.rng.bit_generator.state == b.rng.bit_generator.state
 
 
@@ -113,16 +118,17 @@ def test_merge_two_inactive_singletons():
     state = make_state([(1, 0), (1, 0)])
     state.rng = ScriptedRNG([0, 1])
     assert attempt_clustering(state, 0.5) == (0, 1)
-    assert state.c0 == [2] and state.c1 == [0]
-    assert state.cl == [[0, 1]]
-    assert list(state.m0) == [0, 0]
+    assert state.c0 == [2] and state.flags == 0
+    assert member_lists(state) == [[0, 1]]
+    assert state.cluster_of == [0, 0]
 
 
 def test_merge_counts_add():
     state = make_state([(3, 1), (2, 0)])
     state.rng = ScriptedRNG([0, 1])
     assert attempt_clustering(state, 0.5) == (0, 1)
-    assert state.c0 == [5] and state.c1 == [1]
+    assert state.c0 == [5] and member_lists(state) == [[0, 1, 2, 3, 4]]
+    assert state.flags == 0b1
     assert audit_consistency(state) == []
 
 
@@ -130,9 +136,9 @@ def test_merge_blocked_at_exact_threshold():
     # active fraction exactly theta_c must not merge (strict <)
     state = make_state([(2, 1), (2, 0)])
     state.rng = ScriptedRNG([0, 1])
-    before = (list(state.c0), list(state.c1), [list(m) for m in state.cl])
+    before = (list(state.c0), [list(m) for m in member_lists(state)], state.flags)
     assert attempt_clustering(state, 0.5) is None
-    assert (list(state.c0), list(state.c1), [list(m) for m in state.cl]) == before
+    assert (state.c0, member_lists(state), state.flags) == before
 
 
 def test_merge_redraws_colliding_pair_and_orders_it():
@@ -146,8 +152,8 @@ def test_merge_compacts_higher_indices():
     state.rng = ScriptedRNG([0, 1])
     attempt_clustering(state, 0.5)
     # old cluster 2 slid down to index 1
-    assert state.c0 == [2, 2] and state.c1 == [0, 2]
-    assert list(state.m0) == [0, 0, 1, 1]
+    assert state.c0 == [2, 2] and member_lists(state) == [[0, 1], [2, 3]]
+    assert state.flags == 0b1100 and state.cluster_of == [0, 0, 2, 2]
     assert audit_consistency(state) == []
 
 
@@ -164,8 +170,8 @@ def test_split_all_active_four_at_one():
     state = make_state([(4, 4)])
     state.rng = ScriptedRNG([0, 0])  # molecule 0, s = 1 + 0
     assert attempt_declustering(state, 0.5) == (0, 1)
-    assert state.c0 == [1, 3] and state.c1 == [1, 3]
-    assert state.cl == [[0], [1, 2, 3]]
+    assert state.c0 == [1, 3] and state.flags == 0b1111
+    assert member_lists(state) == [[0], [1, 2, 3]]
     assert audit_consistency(state) == []
 
 
@@ -174,7 +180,7 @@ def test_split_recounts_mixed_activity_parts():
     state.rng = ScriptedRNG([0, 1])  # s = 2
     assert attempt_declustering(state, 0.5) == (0, 2)
     assert state.c0 == [2, 2]
-    assert state.c1 == [2, 1]
+    assert member_lists(state) == [[0, 1], [2, 3]] and state.flags == 0b0111
 
 
 def test_split_blocked_at_exact_threshold():
@@ -235,36 +241,30 @@ def _mixed_flags(state, seed):
 def test_boundary_full_fragmentation_inactivates():
     state = make_state([(1, 1)] * 200)
     assert apply_boundary_rules(state) == "all_inactivated"
-    assert state.n_active == 0
-    assert state.c1 == [0] * 200
+    assert state.flags == 0
     for seed in range(3):
         state = _mixed_flags(make_state([(1, 0)] * 200), seed)
         assert apply_boundary_rules(state) == "all_inactivated"
-        assert state.act == [0] * 201
-        assert state.n_active == np.count_nonzero(state.m1) == 0
-        assert state.c1 == [0] * 200
+        assert state.flags == 0
         assert audit_consistency(state) == []
 
 
 def test_boundary_full_aggregation_activates():
     state = make_state([(200, 37)])
     assert apply_boundary_rules(state) == "all_activated"
-    assert state.n_active == 200
-    assert state.c1 == [200]
+    assert state.flags == (1 << 200) - 1
     for seed in range(3):
         state = _mixed_flags(make_state([(200, 0)]), seed)
         assert apply_boundary_rules(state) == "all_activated"
-        assert state.act == [0] * 200 + [200]
-        assert state.n_active == np.count_nonzero(state.m1) == 200
-        assert state.c1 == [200]
+        assert state.flags == (1 << 200) - 1
         assert audit_consistency(state) == []
 
 
 def test_boundary_inert_in_between():
     state = make_state([(100, 10), (57, 3), (43, 0)])
-    snapshot = state.m1.copy()
+    snapshot = state.flags
     assert apply_boundary_rules(state) == "none"
-    assert np.array_equal(state.m1, snapshot)
+    assert state.flags == snapshot
 
 
 # ---------------------------------------------------------------- noise
@@ -275,14 +275,14 @@ def test_noise_zero_probability_changes_nothing():
     before = state.rng.bit_generator.state
     assert apply_noise(state, 0.0) == 0
     assert state.rng.bit_generator.state == before  # no draws consumed
-    assert state.c1 == [2, 0]
+    assert state.flags == 0b11
 
 
 def test_noise_certain_flip_inverts_everyone():
     state = make_state([(3, 2), (2, 0)], seed=4)
-    old = state.m1.copy()
+    old = state.flags
     assert apply_noise(state, 1.0) == 5
-    assert np.array_equal(state.m1, 1 - old)
+    assert state.flags == old ^ 0b11111
     assert audit_consistency(state) == []
 
 
@@ -345,8 +345,7 @@ def test_step_streams_replay_exactly():
     reports_a, state_a = trace()
     reports_b, state_b = trace()
     assert reports_a == reports_b
-    assert np.array_equal(state_a.m0, state_b.m0)
-    assert np.array_equal(state_a.m1, state_b.m1)
+    assert (member_lists(state_a), state_a.flags) == (member_lists(state_b), state_b.flags)
 
 
 def test_step_report_is_a_whole_step_report():
@@ -406,7 +405,7 @@ def test_audit_names_corrupted_cluster():
 
 def test_audit_names_stale_size_tables():
     state = make_state([(3, 1), (2, 0), (2, 2)])
-    assert (state.hist[:4], state.act[:4]) == ([0, 0, 2, 1], [0, 0, 2, 1])
+    assert (state.hist[:4], state.flags) == ([0, 0, 2, 1], 0b1100001)
     assert state.size_mask[:4] == [0, 0, 0b1111000, 0b111]
     state.size_mask[2] ^= 1 << 3  # molecule 3 left out of the size-2 mask
     assert audit_consistency(state) == [
@@ -441,18 +440,16 @@ def test_flip_keeps_counts_exact_and_undoes_itself():
     before = state.clone()
     idx = [0, 3, 4, 6, 7, 8, 9, 12]  # both flags, sizes 1, 3 and 4
     assert state.flip(bits(idx)) == len(idx)
-    assert state.n_active == np.count_nonzero(state.m1) == 7
-    assert state.m1[idx].tolist() == [0, 1, 0, 1, 1, 1, 0, 0]
-    c1 = np.bincount(state.m0[state.m1 != 0], minlength=state.c_max).tolist()
-    act = [sum(a for s, a in zip(state.c0, c1) if s == size)
-           for size in range(state.n_molecules + 1)]
-    assert (state.c1, state.act) == (c1, act)
+    assert state.n_active == 7
+    assert [state.flags >> i & 1 for i in idx] == [0, 1, 0, 1, 1, 1, 0, 0]
+    assert state.flags == before.flags ^ bits(idx)
+    # A flip moves no molecule: members and size tables stay as they were.
+    assert (member_lists(state), state.size_mask) == (member_lists(before), before.size_mask)
     assert audit_consistency(state) == []
     for part, total in ((idx[:3], 8), (idx[:3], 7), (idx, 7)):
         assert state.flip(bits(part)) == len(part)
-        assert state.n_active == np.count_nonzero(state.m1) == total
-    assert np.array_equal(state.m1, before.m1)
-    assert (state.flags, state.c1, state.act) == (before.flags, before.c1, before.act)
+        assert state.n_active == total
+    assert state.flags == before.flags
 
 
 def test_flip_toggles_exactly_the_bits_of_its_mask():
@@ -467,11 +464,10 @@ def test_flip_toggles_exactly_the_bits_of_its_mask():
     for i in range(n):
         if row >> i & 1:
             assert expected.flip(1 << i) == 1
-    assert (state.flags, state.c1, state.act, state.n_active) == (
-        expected.flags, expected.c1, expected.act, expected.n_active)
+    assert (state.flags, state.n_active) == (expected.flags, expected.n_active)
     assert state.flip(0) == 0 and state.flags == expected.flags
     assert state.flip((1 << n) - 1) == n  # the p >= 1 row inverts everyone
-    assert state.m1.tolist() == (1 - expected.m1).tolist()
+    assert state.flags == expected.flags ^ ((1 << n) - 1)
     assert audit_consistency(state) == []
 
 
@@ -489,7 +485,7 @@ def test_settle_matches_flipping_the_complement(sizes, data):
     mixed = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     state.flip(bits(i for i in range(n) if mixed[i]))
     value = data.draw(st.sampled_from([0, 1]))
-    holders = [i for i in range(n) if state.m1[i] != value]
+    holders = [i for i in range(n) if state.flags >> i & 1 != value]
     keep = data.draw(st.lists(st.sampled_from(holders), unique=True)) if holders else []
     kept = set(keep)
     expected = state.clone()
@@ -497,8 +493,7 @@ def test_settle_matches_flipping_the_complement(sizes, data):
 
     assert state.settle(value, bits(keep)) == flips
     assert state.flags == expected.flags
-    assert (state.c1, state.act) == (expected.c1, expected.act)
-    assert state.n_active == expected.n_active == int(state.m1.sum())
+    assert state.n_active == expected.n_active
     assert audit_consistency(state) == []
 
 
@@ -516,10 +511,10 @@ cluster_specs = st.lists(
 def test_merge_respects_threshold(specs, theta, seed):
     state = make_state(specs, seed=seed)
     ratios = [a / s for s, a in specs]
-    before = (list(state.c0), list(state.c1))
+    before = (list(state.c0), [list(m) for m in member_lists(state)], state.flags)
     result = attempt_clustering(state, theta)
     if result is None:
-        assert (list(state.c0), list(state.c1)) == before
+        assert (state.c0, member_lists(state), state.flags) == before
     else:
         p, q = result
         assert ratios[p] < theta and ratios[q] < theta
@@ -612,16 +607,14 @@ class PositionalModel:
         self.recount()
 
     def assert_matches(self, state):
-        assert (state.c0, state.c1, state.cl) == (self.c0, self.c1, self.cl)
-        assert state.m0.tolist() == self.m0 and state.m1.tolist() == self.m1
+        assert (state.c0, member_lists(state)) == (self.c0, self.cl)
         n = len(self.m1)
         assert state.flags == bits(i for i in range(n) if self.m1[i])
+        assert state.cluster_of == [self.cl[self.m0[i]][0] for i in range(n)]
         assert [state.mask_of[k] for k in state.order] == [bits(m) for m in self.cl]
         assert state.hist == [self.c0.count(size) for size in range(n + 1)]
         assert state.size_mask == [bits(i for m in self.cl if len(m) == size for i in m)
                                    for size in range(n + 1)]
-        assert state.act == [sum(a for s, a in zip(self.c0, self.c1) if s == size)
-                             for size in range(n + 1)]
         assert (state.max_size, state.n_active) == (max(self.c0), sum(self.m1))
         # A cluster's id is its first member, and a copy keeps the ids.
         assert state.order == [members[0] for members in self.cl]
@@ -633,9 +626,9 @@ class PositionalModel:
 @settings(max_examples=150, deadline=None)
 def test_stable_ids_match_the_positional_model(specs, data):
     """Random merges, splits, flips and settles through scripted draws:
-    after each one, the positional views, the member and size masks and
-    the counts read through them equal a model that compacts indices and
-    recounts from a flag list."""
+    after each one, the member lists by position, the cluster ids, the
+    flags, the member and size masks and the counts equal a model that
+    compacts indices and recounts from a flag list."""
     state, model = make_state(specs), PositionalModel(specs)
     n = len(model.m1)
     for _ in range(data.draw(st.integers(1, 30))):
