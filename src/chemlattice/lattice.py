@@ -188,6 +188,10 @@ def _as_indices(x: Iterable[int], bound: int, what: str) -> frozenset:
     return out
 
 
+def _mask_of(subset: Iterable[int], universe: int) -> int:
+    return sum(1 << i for i in _as_indices(subset, universe, "ground-set"))
+
+
 def upper_approx(rel: Relation, rows: Iterable[int]) -> frozenset:
     """Columns related to at least one of the given rows."""
     idx = _as_indices(rows, rel.n_rows, "row")
@@ -291,11 +295,7 @@ class Lattice:
 
     @classmethod
     def from_subsets(cls, universe: int, subsets: Iterable[Iterable[int]]) -> "Lattice":
-        masks = [sum(1 << i for i in _as_indices(s, universe, "ground-set")) for s in subsets]
-        return cls(universe, masks)
-
-    def _to_mask(self, subset: Iterable[int]) -> int:
-        return sum(1 << i for i in _as_indices(subset, self.universe, "ground-set"))
+        return cls(universe, [_mask_of(s, universe) for s in subsets])
 
     def __len__(self) -> int:
         return len(self._masks)
@@ -313,9 +313,8 @@ class Lattice:
         return self._elements[-1]
 
     def index_of(self, subset) -> int:
-        mask = self._to_mask(subset)
         try:
-            return self._index[mask]
+            return self._index[_mask_of(subset, self.universe)]
         except KeyError:
             raise ValueError(
                 f"{format_subset(frozenset(subset))} is not a lattice element"
@@ -372,16 +371,47 @@ class Lattice:
         return meet_tab, join_tab
 
     @cached_property
+    def _up_rows(self) -> list:
+        """Up-sets as Python ints: bit y of row x when x <= y."""
+        return _int_rows(self._subset_matrix)
+
+    @cached_property
+    def _down_rows(self) -> list:
+        """Down-sets as Python ints: bit y of row x when y <= x."""
+        return _int_rows(self._subset_matrix.T)
+
+    @cached_property
+    def _complement_rows(self) -> list:
+        """Complements as Python ints: bit c of row x when x ∧ c = 0, x ∨ c = 1."""
+        mt, jt = self._tables
+        return _int_rows((mt == 0) & (jt == len(self) - 1))
+
+    @cached_property
     def _orthocomplement(self) -> tuple:
         """(assign, holds), searched once: an involutive order-reversing
         complement as an index array (None when none exists) and whether
-        it satisfies the orthomodular law.  The law-pruned search runs
-        first; the plain one only if it fails."""
-        assign = _search_orthocomplement(self, enforce_oml=True)
-        holds = assign is not None
-        if not holds:
-            assign = _search_orthocomplement(self, enforce_oml=False)
-        return assign, holds
+        it satisfies the orthomodular law.
+
+        The first descent (see _first_descent) is checked whole: x <= y
+        must give y' <= x'.  A descent that passes is exactly what
+        _backtrack_orthocomplement returns under either flag, since each
+        of its pairs passes every check made when that pair is fixed.
+        That includes the orthomodular law: a lattice with an
+        orthocomplement breaks it iff some x < y has x' ∧ y = 0, and then
+        x and y are both complements of both y' < x'.  Of the four, the
+        descent reaches x or y' first, while the other three are free,
+        and prefers the lower of its two candidates (y' for x, x for y')
+        to the upper one, so it never ends with both x' for x and y' for
+        y.  Only a failing descent runs the backtracking: law-pruned, then
+        plain if that finds nothing.
+        """
+        assign = _first_descent(self._complement_rows)
+        sub = self._subset_matrix
+        if assign is None or not (sub <= sub[assign][:, assign].T).all():
+            assign = _backtrack_orthocomplement(self, True)
+        if assign is None:
+            return _backtrack_orthocomplement(self, False), False
+        return assign, True
 
     @cached_property
     def _cover_pairs(self) -> list:
@@ -459,7 +489,7 @@ def _scan_cover(lat: Lattice) -> list:
         raise CapacityError(
             f"Hasse extraction is capped at {HASSE_MAX_ELEMENTS} elements (got {n})"
         )
-    ups = _int_rows(lat._subset_matrix)
+    ups = lat._up_rows
     pairs = []
     for x, left in enumerate(ups):
         left ^= 1 << x
@@ -479,11 +509,7 @@ def hasse_cover(lat: Lattice) -> list:
 
 def find_complements(lat: Lattice, x: Iterable[int]) -> list:
     """Elements whose meet with x is bottom and join with x is top."""
-    xi = lat.index_of(x)
-    mt, jt = lat._tables
-    n = len(lat)
-    hits = np.flatnonzero((mt[xi] == 0) & (jt[xi] == n - 1))
-    return [lat._elements[int(i)] for i in hits]
+    return [lat._elements[i] for i in _bits(lat._complement_rows[lat.index_of(x)])]
 
 
 @dataclass(frozen=True)
@@ -543,10 +569,10 @@ def _oml_break(mt, jt, sub, x: int, c: int) -> Optional[int]:
     return int(bad[0]) if bad.size else None
 
 
-def _backtrack_orthocomplement(lat: Lattice, enforce_oml: bool, comp: list):
+def _backtrack_orthocomplement(lat: Lattice, enforce_oml: bool):
     """Depth-first search for an involutive order-reversing complement
-    assignment on the complement rows ``comp`` (Python ints), with forward
-    checking (Haralick & Elliott, Artificial Intelligence 14, 1980).
+    assignment on the lattice's complement rows, with forward checking
+    (Haralick & Elliott, Artificial Intelligence 14, 1980).
 
     A node pairs the least unassigned x with each candidate c of its row,
     ascending, testing the orthomodular law both ways when asked.  Fixing
@@ -561,7 +587,8 @@ def _backtrack_orthocomplement(lat: Lattice, enforce_oml: bool, comp: list):
     """
     n = len(lat)
     sub = lat._subset_matrix
-    up, down = _int_rows(sub), _int_rows(sub.T)
+    # locals, so that the closures below hold no reference to the lattice
+    up, down, comp = lat._up_rows, lat._down_rows, lat._complement_rows
     mt, jt = lat._tables
     assign = [-1] * n
     assign[0], assign[n - 1] = n - 1, 0
@@ -620,34 +647,6 @@ def _first_descent(comp: list):
         x, c = low.bit_length() - 1, pick.bit_length() - 1
         assign[x], assign[c] = c, x
     return np.array(assign, dtype=np.int64)
-
-
-def _search_orthocomplement(lat: Lattice, enforce_oml: bool):
-    """The assignment `_backtrack_orthocomplement` returns, found by
-    checking its likeliest answer first.
-
-    The first descent (see _first_descent) is checked whole: x <= y must
-    give y' <= x'.  A descent that passes is exactly what the
-    backtracking returns, since each of its pairs passes every check the
-    backtracking makes when it fixes that pair.  That includes the
-    orthomodular law, which such a descent always satisfies: a lattice
-    with an orthocomplement breaks the law iff some x < y has x' ∧ y = 0,
-    and then x and y are both complements of both y' < x'.  Of the four,
-    the descent reaches x or y' first, while the other three are free,
-    and prefers the lower of its two candidates (y' for x, x for y') to
-    the upper one, so it never ends with both x' for x and y' for y.
-    Only a failing descent runs the forward-checking search.
-    """
-    mt, jt = lat._tables
-    sub = lat._subset_matrix
-    # cm is held to the return: freed sooner, the lattice benchmark's peak
-    # RSS read 1.3 MB higher (heap layout; the Python allocations are equal)
-    cm = (mt == 0) & (jt == len(lat) - 1)
-    rows = _int_rows(cm)
-    assign = _first_descent(rows)
-    if assign is not None and (sub <= sub[assign][:, assign].T).all():
-        return assign
-    return _backtrack_orthocomplement(lat, enforce_oml, rows)
 
 
 def check_orthomodular(lat: Lattice) -> OrthomodularityReport:

@@ -361,14 +361,22 @@ def test_mask_width_capacity_cap():
 
 
 def _count_searches(monkeypatch) -> list:
+    """Record each first descent as "descent" and each backtracking run
+    as its enforce_oml flag, in call order."""
     calls = []
-    search = lattice_module._search_orthocomplement
+    descend = lattice_module._first_descent
+    backtrack = lattice_module._backtrack_orthocomplement
 
-    def counted(lat, enforce_oml):
+    def counted_descent(comp):
+        calls.append("descent")
+        return descend(comp)
+
+    def counted_backtrack(lat, enforce_oml):
         calls.append(enforce_oml)
-        return search(lat, enforce_oml)
+        return backtrack(lat, enforce_oml)
 
-    monkeypatch.setattr(lattice_module, "_search_orthocomplement", counted)
+    monkeypatch.setattr(lattice_module, "_first_descent", counted_descent)
+    monkeypatch.setattr(lattice_module, "_backtrack_orthocomplement", counted_backtrack)
     return calls
 
 
@@ -378,7 +386,7 @@ def test_orthocomplement_search_runs_once_per_lattice(monkeypatch):
     assert check_orthomodular(lat).holds
     report = analyze_laws(lat)
     blocks = boolean_blocks(lat)
-    assert calls == [True]
+    assert calls == ["descent"]
     assert blocks == report.boolean_blocks
 
 
@@ -388,22 +396,24 @@ def test_plain_search_runs_only_after_the_pruned_one_fails(monkeypatch):
     assert not check_orthomodular(o6).holds
     report = analyze_laws(o6)
     assert boolean_blocks(o6) == report.boolean_blocks
-    assert calls == [True, False]
+    assert calls == ["descent", True, False]
 
 
 def test_law_checks_leave_no_lattice_for_the_cycle_collector():
     # Reference counting alone must free an analysed lattice: nothing
-    # the checks build may hold it in a reference cycle.
-    gc.collect()
-    gc.disable()
-    try:
-        lat = enumerate_lattice(build_two_block_relation([4, 4]))
-        analyze_laws(lat)
-        ref = weakref.ref(lat)
-        del lat
-        assert ref() is None
-    finally:
-        gc.enable()
+    # the checks build may hold it in a reference cycle.  blocks:2,2,2,2
+    # runs the backtracking under both flags; blocks:4,4 only descends.
+    for spec in ("blocks:4,4", "blocks:2,2,2,2:overlap=2,3"):
+        gc.collect()
+        gc.disable()
+        try:
+            lat = lattice_of(spec)
+            analyze_laws(lat)
+            ref = weakref.ref(lat)
+            del lat
+            assert ref() is None, spec
+        finally:
+            gc.enable()
 
 
 # ------------------------------------------------------------- exports
@@ -640,6 +650,18 @@ def test_join_prime_verdict_matches_the_triple_scan(lat):
     assert check_distributive(lat).holds == triple_scan_distributive(lat)
 
 
+@given(lat=lattices())
+@example(lat=M3)
+@example(lat=N5)
+@settings(max_examples=300, deadline=None)
+def test_complements_match_the_tables(lat):
+    mt, jt = lat._tables
+    n = len(lat)
+    for x, e in enumerate(lat.elements):
+        hits = np.flatnonzero((mt[x] == 0) & (jt[x] == n - 1))
+        assert find_complements(lat, e) == [lat.elements[c] for c in hits]
+
+
 def reference_blocks(lat) -> set:
     """From-scratch block search over every atom subset: keep those whose
     joins are distinct and meet and join like intersection and union,
@@ -782,14 +804,19 @@ def reference_orthocomplement(lat, enforce_oml: bool) -> tuple:
     return (assign if found else None), next(nodes)
 
 
-def complement_rows(lat) -> list:
-    mt, jt = lat._tables
-    return lattice_module._int_rows((mt == 0) & (jt == len(lat) - 1))
-
-
 def search_alone(lat, enforce_oml: bool):
     """The forward-checking search without the first-descent shortcut."""
-    return lattice_module._backtrack_orthocomplement(lat, enforce_oml, complement_rows(lat))
+    return lattice_module._backtrack_orthocomplement(lat, enforce_oml)
+
+
+def fresh(lat):
+    """A copy of ``lat`` with none of its cached stages built."""
+    return Lattice(lat.universe, lat._masks)
+
+
+def assert_same_assignment(got, want):
+    assert (got is None) == (want is None)
+    assert want is None or np.array_equal(got, want)
 
 
 def lattice_of(spec: str):
@@ -830,15 +857,21 @@ CENSUS = enumerate_lattice(parse_relation("""
 @settings(max_examples=300, deadline=None)
 def test_search_returns_the_backtracking_assignment(lat):
     # the blocks depend on which assignment is found, not just on one existing
+    wants = {}
     for enforce_oml in (True, False):
         want, nodes = reference_orthocomplement(lat, enforce_oml)
         # forward checking visits a subset of the reference's nodes
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lattice_module, "_ORTHO_NODE_CAP", nodes)
-            found = search_alone(lat, enforce_oml)
-        for got in (found, lattice_module._search_orthocomplement(lat, enforce_oml)):
-            assert (got is None) == (want is None)
-            assert want is None or np.array_equal(got, want)
+            assert_same_assignment(search_alone(lat, enforce_oml), want)
+        wants[enforce_oml] = want
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_searches(mp)
+        assign, holds = fresh(lat)._orthocomplement
+    assert holds == (wants[True] is not None)
+    # a descent that passes stands for the backtracking under both flags
+    for enforce_oml in (True, False) if calls == ["descent"] else (holds,):
+        assert_same_assignment(assign, wants[enforce_oml])
 
 
 @pytest.mark.parametrize(
@@ -847,18 +880,12 @@ def test_search_returns_the_backtracking_assignment(lat):
     ids=["oml", "plain"],
 )
 def test_a_failed_descent_falls_back_to_the_backtracking(monkeypatch, lat, enforce_oml):
-    calls = []
-    backtrack = lattice_module._backtrack_orthocomplement
-
-    def counted(searched, flag, comp):
-        calls.append(flag)
-        return backtrack(searched, flag, comp)
-
-    monkeypatch.setattr(lattice_module, "_backtrack_orthocomplement", counted)
-    assert lattice_module._search_orthocomplement(lat, enforce_oml) is not None
-    assert calls == [enforce_oml]
-    assert lattice_module._search_orthocomplement(DIAG9, enforce_oml) is not None
-    assert calls == [enforce_oml]  # a passing descent needs no backtracking
+    calls = _count_searches(monkeypatch)
+    assign, holds = fresh(lat)._orthocomplement
+    assert assign is not None and holds == enforce_oml
+    assert calls == ["descent", True] + ([] if enforce_oml else [False])
+    assert fresh(DIAG9)._orthocomplement[1]
+    assert calls[-1] == "descent"  # a passing descent needs no backtracking
 
 
 @pytest.mark.parametrize(
@@ -870,11 +897,27 @@ def test_node_budget_is_exact(monkeypatch, lat, enforce_oml, nodes):
     want = reference_orthocomplement(lat, enforce_oml)[0]
     monkeypatch.setattr(lattice_module, "_ORTHO_NODE_CAP", nodes - 1)
     with pytest.raises(CapacityError, match="node budget"):
-        lattice_module._search_orthocomplement(lat, enforce_oml)
+        search_alone(lat, enforce_oml)
     monkeypatch.setattr(lattice_module, "_ORTHO_NODE_CAP", nodes)
-    got = lattice_module._search_orthocomplement(lat, enforce_oml)
-    assert (got is None) == (want is None)
-    assert want is None or np.array_equal(got, want)
+    assert_same_assignment(search_alone(lat, enforce_oml), want)
+
+
+@pytest.mark.parametrize(
+    "lat, calls",
+    [
+        (O6, ["descent", True, False]),
+        (BLOCKS2222, ["descent", True, False]),
+        (lattice_of("blocks:4,4"), ["descent"]),
+    ],
+    ids=["O6", "blocks2222", "blocks44"],
+)
+def test_one_analysis_descends_once_and_backtracks_once_per_flag(monkeypatch, lat, calls):
+    lat = fresh(lat)
+    counted = _count_searches(monkeypatch)
+    analyze_laws(lat)
+    assert counted == calls
+    # the down rows serve only the backtracking
+    assert ("_down_rows" in vars(lat)) == (len(calls) > 1)
 
 
 def test_cli_lattice_exits_3_when_the_search_runs_out_of_nodes(monkeypatch, tmp_path, capsys):
