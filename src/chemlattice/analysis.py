@@ -39,15 +39,18 @@ RETRACE_FRACTION = 0.25
 PLATEAU_LEVEL_FRACTION = 0.75
 PLATEAU_TIME_FRACTION = 0.8
 
-# Samples a retrace walk reads per chunk.
+# Samples a retrace walk reads per chunk, and samples per block when
+# marking a trace's possible event openings.
 _WALK_CHUNK = 64
+_OPEN_BLOCK = 1 << 12
 
 # Shortest series psd accepts, and fewest usable bins a slope fit takes.
 PSD_MIN_SAMPLES = 256
 SLOPE_MIN_BINS = 8
-# Most samples of Hann segments psd transforms in one batch: the fig11
-# and fig9c series fit in one, and a 2**16-sample series takes 8.
-PSD_BATCH_SAMPLES = 1 << 15
+# Most samples of Hann segments psd transforms in one batch: segments of
+# up to 2**11 samples share a batch, and longer ones go one at a time, so
+# the transform's temporaries stay about one segment.
+PSD_BATCH_SAMPLES = 1 << 12
 
 
 @dataclass
@@ -219,6 +222,26 @@ def _trailing_extremes(x: np.ndarray, window: int) -> tuple:
     return lo, hi
 
 
+def _openings(x: np.ndarray, rise_window: int, min_amplitude: float) -> list:
+    """Indices j >= 1 where an event may open: x[j] lies at least
+    ``min_amplitude`` above the lowest or below the highest of
+    x[j - rise_window .. j] (fewer at the start).  Marked a block of
+    _OPEN_BLOCK samples at a time, from the trailing extremes of the
+    block and the ``rise_window`` samples before it, so the working
+    memory does not grow with the trace."""
+    opens = []
+    for lo in range(1, x.size, _OPEN_BLOCK):
+        hi = min(lo + _OPEN_BLOCK, x.size)
+        base = max(0, lo - rise_window)
+        low, high = (a[lo - base:] for a in _trailing_extremes(x[base:hi], rise_window + 1))
+        body = x[lo:hi]
+        np.subtract(body, low, out=low)  # rise above the trailing minimum
+        np.subtract(high, body, out=high)  # fall below the trailing maximum
+        able = (low >= min_amplitude) | (high >= min_amplitude)
+        opens += (able.nonzero()[0] + lo).tolist()
+    return opens
+
+
 def _scan_trace(x: np.ndarray, t: np.ndarray, rise_window: int, fall_window: int,
                 min_amplitude: float) -> list:
     """Excursion scanner over a raw trace; windows count samples, and
@@ -226,23 +249,19 @@ def _scan_trace(x: np.ndarray, t: np.ndarray, rise_window: int, fall_window: int
 
     An event can open only at a sample (past the first) that lies at
     least ``min_amplitude`` above the lowest or below the highest of the
-    ``rise_window`` samples before it.  One array mask marks those
-    samples, and the scan jumps from one to the next with ``bisect``,
-    resuming after each event's end; a trace with no such sample costs a
-    few array passes.  Each event is then read off Python floats, a
-    window or a chunk of the walk at a time: its start (the last low of
-    the rise window), its peak (the first high of the window after the
-    opening sample) and the walk to its retrace.
+    ``rise_window`` samples before it.  _openings lists those samples,
+    and the scan jumps from one to the next with ``bisect``, resuming
+    after each event's end; a trace with no such sample costs a few
+    array passes.  Each event is then read off Python floats, a window
+    or a chunk of the walk at a time: its direction (the larger of the
+    opening sample's rise and fall against its rise window), its start
+    (the last low of the rise window), its peak (the first high of the
+    window after the opening sample) and the walk to its retrace.
     """
     n = x.size
     if n < 2:
         return []
-    up_amp, down_amp = _trailing_extremes(x, rise_window + 1)
-    np.subtract(x, up_amp, out=up_amp)  # rise above the trailing minimum
-    np.subtract(down_amp, x, out=down_amp)  # fall below the trailing maximum
-    able = (up_amp >= min_amplitude) | (down_amp >= min_amplitude)
-    able[0] = False
-    opens = able.nonzero()[0].tolist()
+    opens = _openings(x, rise_window, min_amplitude)
     events = []
     k, j = 0, 1
     while True:
@@ -250,12 +269,15 @@ def _scan_trace(x: np.ndarray, t: np.ndarray, rise_window: int, fall_window: int
         if k == len(opens):
             break
         j = opens[k]
-        upward = bool(up_amp[j] >= down_amp[j])
-        # The event is read off y = sign * x, so a fall is scanned as a rise.
+        back = x[max(0, j - rise_window):j + 1].tolist()
+        low, high = min(back), max(back)
+        upward = back[-1] - low >= high - back[-1]
+        # The event is read off y = sign * x, so a fall is scanned as a
+        # rise; its base is the last low of y in the rise window.
         sign = 1.0 if upward else -1.0
-        win = [sign * v for v in x[max(0, j - rise_window):j + 1].tolist()]
-        base = min(win)
-        t_start = j - win[::-1].index(base)
+        edge = low if upward else high
+        t_start = j - back[::-1].index(edge)
+        base = sign * edge
         win = [sign * v for v in x[j:j + rise_window + 1].tolist()]
         top = max(win)
         t_peak = j + win.index(top)

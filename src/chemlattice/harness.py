@@ -3,11 +3,13 @@
 A scenario bundles simulation parameters, recording resolution, and
 analysis settings; running one writes a fixed set of artifacts
 (series.csv, summary.json, and for relation scenarios lattice.dot and
-laws.json) plus a manifest with content digests.  A --check run then
+laws.json) plus a manifest with content digests, each file streamed to
+disk chunk by chunk.  A --check run then
 writes check.json, every claim gate with its verdict, after the manifest
 and outside its digests.  Sweeps fan a scenario out over noise values
 with sub-seeds derived from the master seed, so the grid can grow
-without perturbing existing cells.
+without perturbing existing cells; each cell's files are written as the
+cell finishes.
 """
 
 from __future__ import annotations
@@ -21,8 +23,12 @@ import math
 import operator
 import os
 import sys
+from array import array
 from dataclasses import MISSING, dataclass, field, replace
-from typing import Literal, NamedTuple, Optional, Union, get_args, get_origin, get_type_hints
+from typing import (
+    Iterable, Iterator, Literal, NamedTuple, Optional, Union, get_args, get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
@@ -320,20 +326,23 @@ def sub_run_seed(master_seed: int, value_index: int, replicate: int = 0) -> int:
 def run_simulation(params: SimParams, record_every: int = 1) -> tuple:
     """Run params.max_steps steps, recording every record_every-th state
     (plus the initial one).  Returns (RunSeries, final SimState); the
-    final state must pass audit_consistency."""
+    final state must pass audit_consistency.
+
+    The counts are appended to typed 8-byte buffers, which the series
+    wraps as int64 arrays without a copy.  A constant schedule's noise
+    trace is p0 broadcast, read-only, over the recorded axis; a ramp's
+    is a full array."""
     if record_every < 1:
         raise ConfigError(f"record_every must be >= 1, got {record_every}")
     steps = params.max_steps
     state = init_state(params)
-    cc = [len(state.c0)]
-    ac = [state.flags.bit_count()]
+    cc = array("q", [len(state.c0)])
+    ac = array("q", [state.flags.bit_count()])
     for t in range(1, steps + 1):
         step(state, params)
         if not t % record_every:
             cc.append(len(state.c0))
             ac.append(state.flags.bit_count())
-    cc = np.array(cc, dtype=np.int64)
-    ac = np.array(ac, dtype=np.int64)
     violations = audit_consistency(state)
     if violations:
         raise RuntimeError(
@@ -342,13 +351,13 @@ def run_simulation(params: SimParams, record_every: int = 1) -> tuple:
     tt = np.arange(0, steps + 1, record_every, dtype=np.int64)
     schedule = params.noise_schedule
     if schedule.kind == "constant":
-        noise = np.full(len(tt), schedule.p0)
+        noise = np.broadcast_to(schedule.p0, len(tt))
     else:
         noise = np.array([noise_at(schedule, t) for t in tt.tolist()])
     series = analysis.RunSeries(
         t=tt,
-        cluster_count=cc,
-        active_count=ac,
+        cluster_count=np.frombuffer(cc, dtype=np.int64),
+        active_count=np.frombuffer(ac, dtype=np.int64),
         params_snapshot=params,
         noise_trace=noise,
     )
@@ -379,22 +388,23 @@ def detect_lock_in(series: analysis.RunSeries) -> bool:
 CSV_CHUNK_ROWS = 2048
 
 
-def _series_csv(series: analysis.RunSeries) -> str:
-    """The series.csv text: a header, then ``t,cluster_count,active_count,
+def _series_csv(series: analysis.RunSeries) -> Iterator[str]:
+    """The series.csv text, yielded as a header and then one chunk of
+    CSV_CHUNK_ROWS rows at a time: ``t,cluster_count,active_count,
     noise_p`` per recorded sample, the counts as integers and the noise
-    as its float repr.  Each chunk of CSV_CHUNK_ROWS rows is one ``%``
-    format of a repeated row template over the chunk's interleaved
-    ``tolist()`` cells (``%s`` gives the f-string's text for any value),
-    so no string is built per row and the transient lists stay one chunk
-    long.  A chunk whose noise bits are all equal has the noise repr
-    written into its template and interleaves three columns."""
+    as its float repr.  Each chunk is one ``%`` format of a repeated row
+    template over the chunk's interleaved ``tolist()`` cells (``%s``
+    gives the f-string's text for any value), so no string is built per
+    row and neither the transient lists nor the text outgrow one chunk.
+    A chunk whose noise bits are all equal has the noise repr written
+    into its template and interleaves three columns."""
     # A schedule built in Python may hold an integer p0, whose trace is
     # an integer array; the file still writes it as a float.
     noise = series.noise_trace.astype(np.float64, copy=False)
     # Bits, not values: 0.0 == -0.0, but their reprs differ.
     bits = noise.view(np.int64)
     columns = (series.t, series.cluster_count, series.active_count, noise)
-    parts = ["t,cluster_count,active_count,noise_p\n"]
+    yield "t,cluster_count,active_count,noise_p\n"
     for lo in range(0, len(series.t), CSV_CHUNK_ROWS):
         hi = lo + CSV_CHUNK_ROWS
         chunk = bits[lo:hi]
@@ -403,8 +413,7 @@ def _series_csv(series: analysis.RunSeries) -> str:
         for j, col in enumerate(columns[:width]):
             cells[j::width] = col[lo:hi].tolist()
         row = "%s,%s,%s,%s\n" if width == 4 else f"%s,%s,%s,{float(noise[lo])!r}\n"
-        parts.append(row * len(chunk) % tuple(cells))
-    return "".join(parts)
+        yield row * len(chunk) % tuple(cells)
 
 
 def _json_text(data) -> str:
@@ -421,7 +430,9 @@ def _detect(config: ScenarioConfig, series: analysis.RunSeries) -> list:
 
 
 def _run_artifacts(config: ScenarioConfig, params: SimParams) -> tuple:
-    """Simulate and analyze one run; returns (series.csv text, summary)."""
+    """Simulate and analyze one run; returns (series.csv chunks, summary).
+    The chunks are a generator that holds the run's series until it is
+    written out."""
     series, _ = run_simulation(params, config.record_every)
     opts = config.analysis
     events = _detect(config, series)
@@ -437,28 +448,36 @@ def _run_artifacts(config: ScenarioConfig, params: SimParams) -> tuple:
     return _series_csv(series), summary
 
 
-def _write_artifacts(config: ScenarioConfig, out_dir: str, files: dict) -> dict:
-    """Write the files, then manifest.json with their digests; returns
-    the manifest.  A failed rewrite leaves no old manifest behind, and
-    any old check.json goes with it.  Old files are removed, not
-    truncated: truncating unflushed data can wait for the flush."""
+def _write_artifacts(config: ScenarioConfig, out_dir: str, files: Iterable) -> dict:
+    """Write each ``(relative path, content)`` pair of ``files`` as it
+    comes, then manifest.json with their digests; returns the manifest.
+    A content is a str or an iterable of str chunks; each chunk is
+    encoded, hashed and written before the next is drawn, so no whole
+    file need exist in memory, and ``files`` may itself be a generator
+    that does the work behind each file.  The old manifest.json and
+    check.json are removed first, so a run that fails midway leaves no
+    manifest behind.  Old files are removed, not truncated: truncating
+    unflushed data can wait for the flush."""
     os.makedirs(out_dir, exist_ok=True)
     for stale in ("manifest.json", "check.json"):
         with contextlib.suppress(FileNotFoundError):
             os.remove(os.path.join(out_dir, stale))
     manifest_files = {}
-    for rel_path, text in sorted(files.items()):
+    for rel_path, content in files:
         full = os.path.join(out_dir, rel_path)
         os.makedirs(os.path.dirname(full) or out_dir, exist_ok=True)
         with contextlib.suppress(FileNotFoundError):
             os.remove(full)
-        payload = text.encode("utf-8")
+        digest, size = hashlib.sha256(), 0
         with open(full, "wb") as fh:
-            fh.write(payload)
-        manifest_files[rel_path] = {
-            "sha256": hashlib.sha256(payload).hexdigest(),
-            "bytes": len(payload),
-        }
+            for chunk in (content,) if isinstance(content, str) else content:
+                payload = chunk.encode("utf-8")
+                digest.update(payload)
+                size += len(payload)
+                fh.write(payload)
+                # Not held while the next chunk is made.
+                del chunk, payload
+        manifest_files[rel_path] = {"sha256": digest.hexdigest(), "bytes": size}
     manifest = {
         "scenario": config.name,
         "kind": config.kind,
@@ -477,8 +496,8 @@ def run_scenario(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict:
     out_dir = out_dir or config.output_dir or os.path.join("runs", config.name)
     if config.kind == "lattice":
         return _run_lattice(config, out_dir)
-    csv_text, summary = _run_artifacts(config, config.sim)
-    files = {"series.csv": csv_text, "summary.json": _json_text(summary)}
+    csv_chunks, summary = _run_artifacts(config, config.sim)
+    files = [("series.csv", csv_chunks), ("summary.json", _json_text(summary))]
     return _write_artifacts(config, out_dir, files)
 
 
@@ -541,22 +560,29 @@ def _run_lattice(config: ScenarioConfig, out_dir: str) -> dict:
         "n_blocks": len(report.boolean_blocks),
         "shared_elements": laws["shared"],
     }
-    files = {
-        "lattice.dot": lattice.lattice_to_dot(lat),
-        "laws.json": _json_text(laws),
-        "summary.json": _json_text(summary),
-    }
+    files = [
+        ("lattice.dot", lattice.lattice_to_dot(lat)),
+        ("laws.json", _json_text(laws)),
+        ("summary.json", _json_text(summary)),
+    ]
     return _write_artifacts(config, out_dir, files)
 
 
 def run_sweep(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict:
-    """One sub-run per (noise value, replicate); writes per-run artifacts
-    plus grid.json with per-value event aggregates."""
+    """One sub-run per (noise value, replicate); writes each sub-run's
+    artifacts as it finishes, then grid.json with per-value event
+    aggregates, then the manifest."""
     if config.kind != "sweep":
         raise ConfigError(f"run_sweep needs a sweep scenario, got kind {config.kind!r}")
     out_dir = out_dir or config.output_dir or os.path.join("runs", config.name)
+    return _write_artifacts(config, out_dir, _sweep_files(config))
+
+
+def _sweep_files(config: ScenarioConfig) -> Iterator[tuple]:
+    """Run the sweep's cells in grid order, yielding each cell's two
+    files as soon as it finishes (so only one cell's series is held at a
+    time), then grid.json."""
     master = config.sim.seed
-    files = {}
     grid_rows = []
     for vi, p_noise in enumerate(config.sweep_values):
         counts = {"spike_up": 0, "spike_down": 0, "sawtooth": 0}
@@ -569,10 +595,10 @@ def run_sweep(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict:
                 noise_schedule=NoiseSchedule(kind="constant", p0=p_noise),
                 seed=seed,
             )
-            csv_text, summary = _run_artifacts(config, params)
+            csv_chunks, summary = _run_artifacts(config, params)
             rel_dir = os.path.join(f"value_{vi}", f"seed_{rep}")
-            files[os.path.join(rel_dir, "series.csv")] = csv_text
-            files[os.path.join(rel_dir, "summary.json")] = _json_text(summary)
+            yield os.path.join(rel_dir, "series.csv"), csv_chunks
+            yield os.path.join(rel_dir, "summary.json"), _json_text(summary)
             for kind in counts:
                 counts[kind] += summary["events"][kind]
             lock_ins += bool(summary["lock_in"])
@@ -599,8 +625,7 @@ def run_sweep(config: ScenarioConfig, out_dir: Optional[str] = None) -> dict:
         "steps": config.sim.max_steps,
         "values": grid_rows,
     }
-    files["grid.json"] = _json_text(grid)
-    return _write_artifacts(config, out_dir, files)
+    yield "grid.json", _json_text(grid)
 
 
 def load_series(run_dir: str) -> analysis.RunSeries:

@@ -402,16 +402,21 @@ class Lattice:
         descent reaches x or y' first, while the other three are free,
         and prefers the lower of its two candidates (y' for x, x for y')
         to the upper one, so it never ends with both x' for x and y' for
-        y.  Only a failing descent runs the backtracking: law-pruned, then
-        plain if that finds nothing.
+        y.  Only a failing descent runs the backtracking: plain first,
+        since an orthomodular assignment is also an orthocomplement and
+        most lattices that fail the descent have none, and law-pruned
+        only when the plain search finds one.  The law-pruned search's
+        assignment is reported when it exists, the plain one otherwise.
         """
         assign = _first_descent(self._complement_rows)
         sub = self._subset_matrix
-        if assign is None or not (sub <= sub[assign][:, assign].T).all():
-            assign = _backtrack_orthocomplement(self, True)
-        if assign is None:
-            return _backtrack_orthocomplement(self, False), False
-        return assign, True
+        if assign is not None and (sub <= sub[assign][:, assign].T).all():
+            return assign, True
+        plain = _backtrack_orthocomplement(self, False)
+        if plain is None:
+            return None, False
+        assign = _backtrack_orthocomplement(self, True)
+        return (plain, False) if assign is None else (assign, True)
 
     @cached_property
     def _cover_pairs(self) -> list:

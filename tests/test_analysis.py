@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from chemlattice import analysis
 from chemlattice.analysis import (
     PLATEAU_LEVEL_FRACTION,
     PSD_BATCH_SAMPLES,
@@ -464,6 +465,20 @@ def test_scan_matches_the_reference_on_simulated_traces():
     assert any(e.kind == "sawtooth" for e in events)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_scan_matches_the_reference_across_opening_blocks(monkeypatch, block):
+    # Openings are marked block by block; blocks shorter than the rise
+    # window need the samples before them, and events straddle the bounds.
+    monkeypatch.setattr(analysis, "_OPEN_BLOCK", block)
+    series, _ = run_simulation(replace(builtin_config("fig9c").sim, max_steps=3_000))
+    for rise, fall, amp in ((25, 25, 160), (5, 40, 100), (1, 1, 60)):
+        assert_scans_agree(series.active_count, rise, fall, amp)
+    trace = _build_trace(20, [("flat", 9), ("spike", 5, 100, 5), ("sawtooth", 4, -150, 60),
+                              ("plateau", 2, 200, 50, 2), ("walk", [30, -90, 95, -10])])
+    for negate in (False, True):
+        assert assert_scans_agree(-np.asarray(trace) if negate else trace, 20, 10, 90)
+
+
 # ------------------------------- transform and psd vs the concatenating path
 
 
@@ -546,7 +561,7 @@ def test_psd_and_transform_match_the_reference_bytes(n, kind, seed):
 
 
 @pytest.mark.parametrize("n, full_batches, extra_segments",
-                         [(18_432, 1, 0), (20_480, 1, 1), (40_960, 2, 1)])
+                         [(4_608, 2, 0), (5_120, 2, 1), (10_240, 4, 1)])
 def test_psd_matches_the_reference_across_batch_bounds(n, full_batches, extra_segments):
     seg = 1 << int(np.floor(np.log2(n // 4)))
     rows = PSD_BATCH_SAMPLES // seg

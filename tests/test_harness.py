@@ -331,6 +331,8 @@ def test_run_simulation_records_on_the_thinned_axis():
     assert state.t == 100
     assert series.params_snapshot == params
     assert np.all(series.noise_trace == 0.0)
+    # a constant schedule's trace is p0 broadcast, one value in memory
+    assert series.noise_trace.strides == (0,) and not series.noise_trace.flags.writeable
 
 
 def test_run_simulation_noise_trace_follows_the_ramp():
@@ -340,6 +342,7 @@ def test_run_simulation_noise_trace_follows_the_ramp():
     assert list(series.t) == [0, 25, 50, 75, 100]
     assert series.noise_trace[1] == 0.0
     assert series.noise_trace[3] == pytest.approx(25e-4)
+    assert series.noise_trace.flags.owndata
 
 
 def test_run_simulation_records_the_state_after_every_kth_step():
@@ -392,13 +395,14 @@ def test_series_csv_matches_row_by_row_across_chunk_bounds(extra):
         params_snapshot=None,
         noise_trace=noise,
     )
-    text = harness._series_csv(series)
+    text = "".join(harness._series_csv(series))
     assert first_difference(text, reference_series_csv(series)) is None
     assert text.count("\n") == rows + 1
     assert "0.30000000000000004" in text and "8.750000000000001e-05" in text
     # An integer p0 in a schedule built in Python gives an integer noise trace.
     series.noise_trace = np.zeros(rows, dtype=np.int64)
-    assert first_difference(harness._series_csv(series), reference_series_csv(series)) is None
+    text = "".join(harness._series_csv(series))
+    assert first_difference(text, reference_series_csv(series)) is None
 
 
 def chunk_noise(first, second=0.05):
@@ -432,7 +436,7 @@ def test_series_csv_folds_only_a_bitwise_constant_noise_chunk(noise, reprs):
         params_snapshot=None,
         noise_trace=noise,
     )
-    text = harness._series_csv(series)
+    text = "".join(harness._series_csv(series))
     assert first_difference(text, reference_series_csv(series)) is None
     assert {line.rsplit(",", 1)[1] for line in text.splitlines()[1:]} == reprs
 
@@ -445,7 +449,8 @@ def test_series_csv_of_a_thinned_ramp_run_matches_row_by_row():
     series, _ = run_simulation(params, record_every=3)
     assert len(series.t) == 2 * harness.CSV_CHUNK_ROWS + 2
     assert np.count_nonzero(series.noise_trace) > harness.CSV_CHUNK_ROWS
-    assert first_difference(harness._series_csv(series), reference_series_csv(series)) is None
+    text = "".join(harness._series_csv(series))
+    assert first_difference(text, reference_series_csv(series)) is None
 
 
 def test_step_phases_stay_separate_calls(monkeypatch):
@@ -624,6 +629,66 @@ def test_sweep_requires_sweep_kind():
 
     with pytest.raises(ConfigError, match="needs a sweep scenario"):
         run_sweep(tiny_single())
+
+
+def test_a_crashed_sweep_keeps_its_finished_cells_and_writes_no_manifest(
+        tmp_path, monkeypatch, capsys):
+    config = config_from_dict({
+        "name": "mini", "kind": "sweep", "sweep_values": [0.0, 0.05],
+        "seeds_per_value": 2, "sim": {"max_steps": 300, "seed": 9},
+    })
+    simulate = harness.run_simulation
+    calls = []
+
+    def third_cell_fails(params, record_every=1):
+        calls.append(params.seed)
+        if len(calls) == 3:
+            raise RuntimeError("third cell failed")
+        return simulate(params, record_every)
+
+    monkeypatch.setattr(harness, "run_simulation", third_cell_fails)
+    out = tmp_path / "sweep"
+    with pytest.raises(RuntimeError, match="third cell"):
+        harness.run_sweep(config, str(out))
+    written = sorted(p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file())
+    assert written == [f"value_0/seed_{rep}/{name}"
+                       for rep in (0, 1) for name in ("series.csv", "summary.json")]
+    crashed = {rel: hashlib.sha256((out / rel).read_bytes()).hexdigest() for rel in written}
+    assert main(["verify", str(out)]) == 3
+    assert "manifest.json" in capsys.readouterr().err
+    monkeypatch.undo()
+    manifest = harness.run_sweep(config, str(out))
+    assert main(["verify", str(out)]) == 0
+    assert "ok, 9 files match" in capsys.readouterr().out
+    # each cell was whole on disk before the next one ran
+    assert crashed == {rel: manifest["files"][rel]["sha256"] for rel in written}
+
+
+@pytest.mark.parametrize("noise", ["constant", "varying"])
+def test_the_writer_streams_series_csv_under_a_running_digest(tmp_path, noise):
+    rows = 1 << 16
+    rng = np.random.default_rng(16)
+    series = RunSeries(
+        t=np.arange(rows, dtype=np.int64),
+        cluster_count=rng.integers(1, 201, rows),
+        active_count=rng.integers(0, 201, rows),
+        params_snapshot=None,
+        noise_trace=np.broadcast_to(0.05, rows) if noise == "constant" else rng.random(rows),
+    )
+    files = [("series.csv", harness._series_csv(series))]
+    tracemalloc.start()
+    try:
+        manifest = harness._write_artifacts(builtin_config("fig9b"), str(tmp_path), files)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    payload = (tmp_path / "series.csv").read_bytes()
+    want = {"sha256": hashlib.sha256(payload).hexdigest(), "bytes": len(payload)}
+    assert manifest["files"] == {"series.csv": want}
+    assert json.loads((tmp_path / "manifest.json").read_text())["files"] == manifest["files"]
+    assert payload.decode() == "".join(harness._series_csv(series))
+    # The whole text as one str, then as bytes, took twice the file.
+    assert peak < len(payload) / 4, (peak, len(payload))
 
 
 # ------------------------------------------------------ relation source

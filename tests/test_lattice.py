@@ -362,7 +362,9 @@ def test_mask_width_capacity_cap():
 
 def _count_searches(monkeypatch) -> list:
     """Record each first descent as "descent" and each backtracking run
-    as its enforce_oml flag, in call order."""
+    as its enforce_oml flag, in call order: a failed descent runs the
+    plain search (False), then the law-pruned one (True) only if the
+    plain one found an assignment."""
     calls = []
     descend = lattice_module._first_descent
     backtrack = lattice_module._backtrack_orthocomplement
@@ -390,13 +392,17 @@ def test_orthocomplement_search_runs_once_per_lattice(monkeypatch):
     assert blocks == report.boolean_blocks
 
 
-def test_plain_search_runs_only_after_the_pruned_one_fails(monkeypatch):
+def test_pruned_search_runs_only_after_the_plain_one_succeeds(monkeypatch):
     calls = _count_searches(monkeypatch)
     o6 = Lattice.from_subsets(3, [(), (0,), (0, 1), (2,), (1, 2), (0, 1, 2)])
     assert not check_orthomodular(o6).holds
     report = analyze_laws(o6)
     assert boolean_blocks(o6) == report.boolean_blocks
-    assert calls == ["descent", True, False]
+    assert calls == ["descent", False, True]
+    # a chain's middle element has no complement: one plain search decides
+    chain = Lattice.from_subsets(2, [(), (0,), (0, 1)])
+    assert chain._orthocomplement == (None, False)
+    assert calls[3:] == ["descent", False]
 
 
 def test_law_checks_leave_no_lattice_for_the_cycle_collector():
@@ -883,7 +889,7 @@ def test_a_failed_descent_falls_back_to_the_backtracking(monkeypatch, lat, enfor
     calls = _count_searches(monkeypatch)
     assign, holds = fresh(lat)._orthocomplement
     assert assign is not None and holds == enforce_oml
-    assert calls == ["descent", True] + ([] if enforce_oml else [False])
+    assert calls == ["descent", False, True]
     assert fresh(DIAG9)._orthocomplement[1]
     assert calls[-1] == "descent"  # a passing descent needs no backtracking
 
@@ -905,8 +911,8 @@ def test_node_budget_is_exact(monkeypatch, lat, enforce_oml, nodes):
 @pytest.mark.parametrize(
     "lat, calls",
     [
-        (O6, ["descent", True, False]),
-        (BLOCKS2222, ["descent", True, False]),
+        (O6, ["descent", False, True]),
+        (BLOCKS2222, ["descent", False, True]),
         (lattice_of("blocks:4,4"), ["descent"]),
     ],
     ids=["O6", "blocks2222", "blocks44"],
@@ -921,8 +927,8 @@ def test_one_analysis_descends_once_and_backtracks_once_per_flag(monkeypatch, la
 
 
 def test_cli_lattice_exits_3_when_the_search_runs_out_of_nodes(monkeypatch, tmp_path, capsys):
-    # the law-pruned search draws 1 node and finds nothing; the plain
-    # search then needs 4
+    # the plain search needs 4 nodes; the law-pruned search then draws 1
+    # and finds nothing
     monkeypatch.setattr(lattice_module, "_ORTHO_NODE_CAP", 3)
     out = str(tmp_path / "run")
     assert main(["lattice", "blocks:2,2,2,2:overlap=2,3", "--out", out]) == 3
