@@ -59,6 +59,10 @@ HASSE_MAX_ELEMENTS = 2048
 BLOCK_MAX_ATOMS = 16
 _ORTHO_NODE_CAP = 1_000_000
 MASK_MAX_UNIVERSE = 63  # element masks are held in an int64 array
+# n×n scans take their rows in chunks of at most this many cells (one
+# row when a row is wider), so no temporary exceeds 128 KiB of int64 or
+# intp: 32 rows at the 512-element law cap, 8 at the 2048-element Hasse cap
+_CHUNK_CELLS = 1 << 14
 _NOT_A_LATTICE = "a join resolves outside the element set; the family is not a lattice"
 
 
@@ -97,6 +101,13 @@ def _int_rows(bits) -> list:
     """Rows of a boolean matrix as Python ints, bit j for column j."""
     packed = np.packbits(bits, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _row_chunks(rows: int, width: int):
+    """Slices over ``rows`` rows of ``width`` cells, _CHUNK_CELLS cells
+    at a time."""
+    step = max(1, _CHUNK_CELLS // width)
+    return (slice(s, s + step) for s in range(0, rows, step))
 
 
 def _bits(mask: int) -> list:
@@ -323,7 +334,10 @@ class Lattice:
     @cached_property
     def _subset_matrix(self) -> np.ndarray:
         m = np.array(self._masks, dtype=np.int64)
-        return (m[:, None] & ~m[None, :]) == 0
+        out, outside = np.empty((m.size, m.size), dtype=bool), ~m
+        for rows in _row_chunks(m.size, m.size):
+            np.equal(m[rows, None] & outside, 0, out=out[rows])
+        return out
 
     @cached_property
     def _tables(self) -> tuple:
@@ -360,11 +374,9 @@ class Lattice:
         sub = self._subset_matrix
         lo, hi = np.array(self._cover_pairs, dtype=np.intp).reshape(-1, 2).T
         join_tab = _fill_by_level(lo, hi, n - 1, np.minimum, sub.T)
-        step = max(1, (1 << 16) // n)  # temporaries of at most 512 KiB
-        chunks = (slice(s, s + step) for s in range(0, lo.size, step))
         if not self._closure_system and not all(
             sub.ravel()[np.multiply(join_tab[lo[c]], n, dtype=np.intp) + join_tab[hi[c]]].all()
-            for c in chunks
+            for c in _row_chunks(lo.size, n)
         ):
             raise ValueError(_NOT_A_LATTICE)
         meet_tab = _fill_by_level(hi, lo, 0, np.maximum, sub)
@@ -429,14 +441,15 @@ def _fill_by_level(lo, hi, seed: int, reduce, fixed):
     """Index table whose row ``seed`` is constant and whose row x reduces
     the rows of the hi paired with x, then holds x where ``fixed[x]`` is
     set: in batches of every row whose hi are done, one slot of hi at a
-    time, in place (``seed``, the reduction's identity, pads the slots)."""
+    time, in place (``seed``, the reduction's identity, pads the slots).
+    The table is int16, since every index is below LAW_MAX_ELEMENTS."""
     n = len(fixed)
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
     counts = np.bincount(lo, minlength=n)
     slots = np.full((n, max(int(counts.max()), 1)), seed, dtype=np.intp)
     slots[lo, np.arange(lo.size) - (np.cumsum(counts) - counts)[lo]] = hi
-    tab = np.empty((n, n), dtype=np.int32)
+    tab = np.empty((n, n), dtype=np.int16)
     tab[seed] = seed
     done = np.arange(n) == seed
     while not done.all():
@@ -541,8 +554,8 @@ def check_distributive(lat: Lattice) -> DistributivityReport:
     sub, n = lat._subset_matrix, len(lat)
     covers = Counter(hi for _, hi in lat._cover_pairs)
     irr = np.array([j for j, c in covers.items() if c == 1], dtype=np.intp)
-    joins = np.zeros((irr.size, 1 << (n - 1).bit_length()), dtype=np.int32)
-    joins[:, :n] = np.where(sub[irr], 0, np.arange(n))  # bottom pads
+    joins = np.zeros((irr.size, 1 << (n - 1).bit_length()), dtype=jt.dtype)
+    np.copyto(joins[:, :n], np.arange(n), where=~sub[irr])  # bottom pads
     while joins.shape[1] > 1:
         joins = jt[joins[:, ::2], joins[:, 1::2]]
     if not sub[irr, joins[:, 0]].any():
@@ -554,8 +567,12 @@ def check_distributive(lat: Lattice) -> DistributivityReport:
         mx = mt[x]
         if (mx[to_irr] == jt[mx[:, None], mx[irr]]).all():
             continue
-        y, z = divmod(int((mx[jt] != jt[mx][:, mx]).argmax()), n)
-        return DistributivityReport(False, tuple(lat._elements[i] for i in (x, y, z)))
+        for ys in _row_chunks(n, n):
+            fails = mx[jt[ys]] != jt[mx[ys]][:, mx]
+            if fails.any():
+                y, z = divmod(int(fails.argmax()), n)
+                witness = (x, ys.start + y, z)
+                return DistributivityReport(False, tuple(lat._elements[i] for i in witness))
 
 
 @dataclass(frozen=True)
@@ -691,14 +708,18 @@ def _grow(mt, jt, cube, a: int):
     Boolean, so growing it by one atom checks only the new half.  Joins
     need no check: in any lattice the join of two subset joins is the
     join of their union.  Meets must be the joins of the intersections;
-    the distinctness test is implied by that but rejects sooner.
+    the distinctness test is implied by that but rejects sooner.  The
+    new half's rows are checked a chunk at a time.
     """
     grown = np.concatenate([cube, jt[cube, a]])
     if len(set(grown.tolist())) != grown.size:
         return None
     s = np.arange(grown.size)
-    new = s[cube.size:, None]
-    return grown if (mt[grown[new], grown] == grown[new & s]).all() else None
+    for rows in _row_chunks(cube.size, grown.size):
+        new = s[cube.size:][rows, None]
+        if not (mt[grown[new], grown] == grown[new & s]).all():
+            return None
+    return grown
 
 
 def _cubes(mt, jt, atoms: Sequence[int], current: tuple, cube):

@@ -564,7 +564,7 @@ def assert_tables_match_argmax(lat):
             lat._tables
         return
     mt, jt = lat._tables
-    assert mt.dtype == jt.dtype == np.int32
+    assert mt.dtype == jt.dtype == np.int16
     assert np.array_equal(mt, want[0]) and np.array_equal(jt, want[1])
 
 
@@ -1167,5 +1167,75 @@ def traced_peak_mib(fn) -> float:
 def test_tables_and_distributivity_stay_within_their_memory(lat):
     fresh = Lattice(lat.universe, lat._masks)
     fresh._cover_pairs  # the cover scan is the Hasse stage, measured apart
-    assert traced_peak_mib(lambda: fresh._tables) <= 3.0
-    assert traced_peak_mib(lambda: check_distributive(fresh)) <= 4.5
+    assert traced_peak_mib(lambda: fresh._tables) <= 1.75
+    assert traced_peak_mib(lambda: check_distributive(fresh)) <= 1.0
+
+
+
+def test_the_table_dtype_holds_every_index_below_the_law_cap():
+    # a cap past the dtype's range would wrap indices, not raise
+    for tab in DIAG9._tables:
+        assert np.iinfo(tab.dtype).max >= lattice_module.LAW_MAX_ELEMENTS - 1
+
+
+DIAG9_RELATION = Relation(np.eye(9, dtype=bool))
+BLOCKS88_RELATION = build_two_block_relation([8, 8])
+DIAG11_RELATION = Relation(np.eye(11, dtype=bool))  # 2048 elements, the Hasse cap
+
+
+@pytest.mark.parametrize("rel", [DIAG9_RELATION, BLOCKS88_RELATION], ids=["diag9", "blocks88"])
+def test_the_law_pipeline_stays_within_its_memory(rel):
+    def pipeline():
+        lat = enumerate_lattice(rel, max_elements=lattice_module.LAW_MAX_ELEMENTS)
+        law_report_json(analyze_laws(lat))
+        lattice_to_dot(lat)
+
+    assert traced_peak_mib(pipeline) <= 3.0
+
+
+def test_the_hasse_cover_at_its_cap_stays_within_its_memory():
+    lat = enumerate_lattice(DIAG11_RELATION)
+    assert traced_peak_mib(lambda: hasse_cover(lat)) <= 8.0
+
+
+def one_shot_subset_matrix(lat):
+    m = np.array(lat._masks, dtype=np.int64)
+    return (m[:, None] & ~m[None, :]) == 0
+
+
+@pytest.mark.parametrize(
+    "rel", [DIAG9_RELATION, BLOCKS88_RELATION, DIAG11_RELATION], ids=["diag9", "blocks88", "diag11"]
+)
+def test_subset_matrix_equals_the_one_shot_broadcast(rel):
+    lat = enumerate_lattice(rel)
+    assert np.array_equal(lat._subset_matrix, one_shot_subset_matrix(lat))
+
+
+@given(lat=lattices(), cells=st.integers(1, 64))
+@example(lat=M3, cells=1)
+@example(lat=N5, cells=3)
+@example(lat=IRREDUCIBLE_PAIRS_PASS, cells=5)
+@example(lat=MEET_ONLY, cells=7)
+@example(lat=DESCENT_FAILS_OML, cells=4)
+@settings(max_examples=200, deadline=None)
+def test_chunked_scans_match_their_references_across_chunk_edges(lat, cells):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_module, "_CHUNK_CELLS", cells)
+        small = fresh(lat)
+        assert np.array_equal(small._subset_matrix, one_shot_subset_matrix(small))
+        assert_tables_match_argmax(small)
+        assert check_distributive(small).witness == first_failing_triple(small)
+        blocks = lattice_module._boolean_blocks_raw(small)
+        assert {frozenset(small.elements[i] for i in atoms) for atoms, _ in blocks} == (
+            reference_blocks(small)
+        )
+
+
+@given(family=union_families(), cells=st.integers(1, 64))
+@example(family=DEEP_MISSING_JOIN, cells=1)
+@example(family=LATE_MISSING_JOIN, cells=9)
+@settings(max_examples=200, deadline=None)
+def test_cover_check_rejects_across_chunk_edges(family, cells):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_module, "_CHUNK_CELLS", cells)
+        assert_tables_match_argmax(Lattice(*family))
